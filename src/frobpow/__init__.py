@@ -19,6 +19,7 @@ from .engine import (
     ContainmentTable,
     FrobeniusClosureReport,
     IdealSpec,
+    MatrixTooLarge,
     MembershipCertificate,
     MembershipEngine,
     NotFoundWithinCap,

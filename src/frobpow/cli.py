@@ -22,6 +22,7 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from .engine import (
     IdealSpec,
+    MatrixTooLarge,
     MembershipEngine,
     containment_table,
     frobenius_closure_test,
@@ -40,10 +41,6 @@ MAX_MATRIX_ENTRIES = 4_000_000
 
 
 class InputError(ValueError):
-    pass
-
-
-class Refusal(RuntimeError):
     pass
 
 
@@ -251,19 +248,6 @@ def _text_lines(value, indent=""):
     return lines
 
 
-# -- guards ----------------------------------------------------------------
-
-
-def _guard_matrix(engine, q, m, allow_large):
-    rows, cols = engine.matrix_shape(q, m)
-    if rows * cols > MAX_MATRIX_ENTRIES and not allow_large:
-        raise Refusal(
-            f"membership matrix in degree {m} for q={q} has "
-            f"{rows}x{cols} = {rows * cols} entries "
-            f"(cap {MAX_MATRIX_ENTRIES}); pass --allow-large to proceed"
-        )
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -322,16 +306,17 @@ def _nu_for(pf):
     return bounds_mod.compute_nu(pf.ideal.degrees, pf.ring.dim, pf.ring.flags)
 
 
+def _engine(pf, args):
+    max_entries = None if args.allow_large else MAX_MATRIX_ENTRIES
+    return MembershipEngine(pf.ring, pf.ideal, max_entries=max_entries)
+
+
 def _cmd_kq(pf, args):
     ring = pf.ring
     nu, provenance = _nu_for(pf)
-    engine = MembershipEngine(ring, pf.ideal)
-    e_list = list(range(1, args.emax + 1))
-    for e in e_list:
-        q = ring.p**e
-        cap = args.cap if args.cap else engine.default_cap(q, nu)
-        _guard_matrix(engine, q, cap, args.allow_large)
-    table = containment_table(engine, e_list, nu=nu, cap=args.cap or None)
+    table = containment_table(
+        _engine(pf, args), range(1, args.emax + 1), nu=nu, cap=args.cap or None
+    )
     payload = {
         "nu": nu,
         "nu_provenance": provenance,
@@ -366,15 +351,8 @@ def _parse_elem(pf, text, what):
 
 
 def _cmd_member(pf, args):
-    if not args.q:
-        raise InputError("member requires --q")
-    if not args.elem:
-        raise InputError("member requires --elem")
     h = _parse_elem(pf, args.elem, "--elem")
-    engine = MembershipEngine(pf.ring, pf.ideal)
-    engine._check_q(args.q)
-    _guard_matrix(engine, args.q, h.degree(), args.allow_large)
-    cert = engine.membership(args.q, h)
+    cert = _engine(pf, args).membership(args.q, h)
     payload = {
         "q": args.q,
         "element": poly_format(h, pf.ring.var_names),
@@ -394,22 +372,14 @@ def _cmd_member(pf, args):
 
 
 def _cmd_tight(pf, args):
-    if not args.f:
-        raise InputError("tight requires --f")
-    if not args.c:
-        raise InputError("tight requires --c")
     f = _parse_elem(pf, args.f, "--f")
     c = _parse_elem(pf, args.c, "--c")
     try:
         nu, _ = _nu_for(pf)
     except (AssumptionMissing, ValueError):
         nu = None
-    engine = MembershipEngine(pf.ring, pf.ideal)
-    for e in range(1, args.emax + 1):
-        q = pf.ring.p**e
-        _guard_matrix(engine, q, c.degree() + q * f.degree(), args.allow_large)
     rep = tight_closure_witness_test(
-        engine, f, c, range(1, args.emax + 1), nu=nu
+        _engine(pf, args), f, c, range(1, args.emax + 1), nu=nu
     )
     payload = {
         "f": poly_format(f, pf.ring.var_names),
@@ -425,18 +395,12 @@ def _cmd_tight(pf, args):
 
 
 def _cmd_frobenius(pf, args):
-    if not args.f:
-        raise InputError("frobenius requires --f")
     f = _parse_elem(pf, args.f, "--f")
     try:
         nu, _ = _nu_for(pf)
     except (AssumptionMissing, ValueError):
         nu = None
-    engine = MembershipEngine(pf.ring, pf.ideal)
-    for e in range(args.emax + 1):
-        q = pf.ring.p**e
-        _guard_matrix(engine, q, q * f.degree(), args.allow_large)
-    rep = frobenius_closure_test(engine, f, args.emax, nu=nu)
+    rep = frobenius_closure_test(_engine(pf, args), f, args.emax, nu=nu)
     payload = {
         "f": poly_format(f, pf.ring.var_names),
         "nu": nu,
@@ -452,13 +416,25 @@ def _cmd_frobenius(pf, args):
     return Report("frobenius", payload, tuple(sorted(pf.ring.flags)), {})
 
 
+# argparse keyword arguments of each command-specific flag
+_FLAGS = {
+    "--emax": dict(type=int, default=2),
+    "--cap": dict(type=int),
+    "--q": dict(type=int, required=True),
+    "--elem": dict(required=True),
+    "--f": dict(required=True),
+    "--c": dict(required=True),
+    "--allow-large": dict(action="store_true"),
+}
+
+# command -> (handler, the flags it reads)
 _COMMANDS = {
-    "bounds": _cmd_bounds,
-    "koszul": _cmd_koszul,
-    "kq": _cmd_kq,
-    "member": _cmd_member,
-    "tight": _cmd_tight,
-    "frobenius": _cmd_frobenius,
+    "bounds": (_cmd_bounds, ("--emax",)),
+    "koszul": (_cmd_koszul, ()),
+    "kq": (_cmd_kq, ("--emax", "--cap", "--allow-large")),
+    "member": (_cmd_member, ("--q", "--elem", "--allow-large")),
+    "tight": (_cmd_tight, ("--f", "--c", "--emax", "--allow-large")),
+    "frobenius": (_cmd_frobenius, ("--f", "--emax", "--allow-large")),
 }
 
 
@@ -469,19 +445,14 @@ def _build_parser():
         "Frobenius powers of homogeneous ideals in characteristic p.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("problem_file")
-        sp.add_argument("--emax", type=int, default=2)
-        sp.add_argument("--q", type=int, default=None)
-        sp.add_argument("--elem", default=None)
-        sp.add_argument("--f", default=None)
-        sp.add_argument("--c", default=None)
-        sp.add_argument("--cap", type=int, default=None)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", dest="fmt", default="text",
-                        choices=("text", "json", "csv"))
-        sp.add_argument("--allow-large", action="store_true")
+        formats = ("text", "json", "csv") if name == "kq" else ("text", "json")
+        sp.add_argument("--format", dest="fmt", default="text", choices=formats)
         sp.add_argument("--no-timings", action="store_true",
                         help="omit the timing envelope for byte-identical runs")
     return parser
@@ -503,19 +474,18 @@ def run_command(argv):
     started = time.perf_counter()
     try:
         pf = parse_problem_file(text)
-        report = _COMMANDS[args.command](pf, args)
+        report = _COMMANDS[args.command][0](pf, args)
     except (InputError, PolyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (AssumptionMissing, Refusal) as exc:
+    except AssumptionMissing as exc:
         print(f"refusal: {exc}", file=sys.stderr)
         return 1
+    except MatrixTooLarge as exc:
+        print(f"refusal: {exc}; pass --allow-large to proceed", file=sys.stderr)
+        return 1
     report.timings["seconds"] = round(time.perf_counter() - started, 3)
-    try:
-        out = emit_report(report, args.fmt, include_timings=not args.no_timings)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    out = emit_report(report, args.fmt, include_timings=not args.no_timings)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -526,3 +496,7 @@ def run_command(argv):
 
 def main():
     raise SystemExit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .bounds import inclusion_threshold
-from .polynomials import Polynomial, monomial_mul
+from .polynomials import Polynomial, check_p_power, monomial_mul
 
 EVIDENCE_NOTE = (
     "finite evidence only: tight-closure membership quantifies over all "
@@ -38,12 +38,19 @@ class NotFoundWithinCap(RuntimeError):
         self.cap = cap
 
 
+class MatrixTooLarge(RuntimeError):
+    def __init__(self, q, m, rows, cols, max_entries):
+        super().__init__(
+            f"membership matrix in degree {m} for q={q} has "
+            f"{rows}x{cols} = {rows * cols} entries (cap {max_entries})"
+        )
+
+
 @dataclass(frozen=True)
 class IdealSpec:
     """Homogeneous generators of an R_+-primary ideal, degrees cached."""
 
     generators: tuple
-    primary: bool = True
 
     def __post_init__(self):
         if not self.generators:
@@ -55,8 +62,8 @@ class IdealSpec:
         object.__setattr__(self, "sorted_degrees", tuple(sorted(self.degrees)))
 
     @classmethod
-    def from_strings(cls, ring, texts, primary=True):
-        return cls(tuple(ring.parse(t) for t in texts), primary=primary)
+    def from_strings(cls, ring, texts):
+        return cls(tuple(ring.parse(t) for t in texts))
 
 
 @dataclass(frozen=True)
@@ -113,23 +120,22 @@ class FrobeniusClosureReport:
 
 class MembershipEngine:
     """Membership/containment machinery for one (ring, ideal) pair; caches
-    normal forms of generator Frobenius powers and graded bases."""
+    normal forms of generator Frobenius powers and graded bases.
 
-    def __init__(self, ring, ideal):
+    With ``max_entries`` set, no membership matrix with more entries is ever
+    assembled: operations raise MatrixTooLarge instead.  containment_table,
+    tight_closure_witness_test and frobenius_closure_test check every matrix
+    they plan, up to the last q, before assembling the first.
+    """
+
+    def __init__(self, ring, ideal, max_entries=None):
         self.ring = ring
         self.ideal = ideal
+        self.max_entries = max_entries
         for g in ideal.generators:
             if g.p != ring.p or g.num_vars != ring.num_vars:
                 raise ValueError("ideal generator not defined over the ring")
         self._fq_cache = {}
-
-    def _check_q(self, q):
-        p = self.ring.p
-        v = q
-        while v > 1 and v % p == 0:
-            v //= p
-        if v != 1:
-            raise ValueError(f"{q} is not a power of the characteristic {p}")
 
     def _generator_power(self, i, q):
         key = (i, q)
@@ -164,15 +170,15 @@ class MembershipEngine:
                             coords.pop(mr, None)
                 yield (i, mono), coords
 
-    def matrix_shape(self, q, m):
-        """(rows, cols) of the membership matrix in degree m, for size caps."""
+    def check_matrix_size(self, q, m):
+        """Raise MatrixTooLarge if the degree-m membership matrix for q has
+        more than max_entries entries; sized by Hilbert function alone."""
+        if self.max_entries is None:
+            return
         rows = self.ring.hilbert_dim(m)
-        cols = sum(
-            self.ring.hilbert_dim(m - q * d)
-            for d in self.ideal.degrees
-            if m - q * d >= 0
-        )
-        return rows, cols
+        cols = sum(self.ring.hilbert_dim(m - q * d) for d in self.ideal.degrees)
+        if rows * cols > self.max_entries:
+            raise MatrixTooLarge(q, m, rows, cols, self.max_entries)
 
     def _assemble(self, q, m):
         target = self.ring.graded_basis(m)
@@ -196,9 +202,10 @@ class MembershipEngine:
     def membership(self, q, h):
         """Solve for h in I^[q]; returns a certificate that is re-verified by
         polynomial arithmetic and normal-form reduction before returning."""
-        self._check_q(q)
+        check_p_power(q, self.ring.p)
         if not h.is_homogeneous():
             raise ValueError("element must be homogeneous")
+        self.check_matrix_size(q, h.degree())
         ring = self.ring
         hn = ring.normal_form(h)
         if hn.is_zero():
@@ -238,9 +245,10 @@ class MembershipEngine:
 
     def degree_containment(self, q, k):
         """True iff R_k is contained in I^[q] (rank test on one matrix)."""
-        self._check_q(q)
+        check_p_power(q, self.ring.p)
         if k < 0:
             raise ValueError("degree must be >= 0")
+        self.check_matrix_size(q, k)
         dim = self.ring.hilbert_dim(k)
         if dim == 0:
             return True
@@ -264,9 +272,7 @@ class MembershipEngine:
         (R_{k+1} = R_1 * R_k), so an ascending scan with growing stride
         followed by a bisection back is valid.
         """
-        self._check_q(q)
-        if not self.ideal.primary:
-            raise ValueError("minimal containment degree needs an R_+-primary ideal")
+        check_p_power(q, self.ring.p)
         if cap is None:
             cap = self.default_cap(q, nu_hint)
         start = q * min(self.ideal.degrees)
@@ -298,11 +304,14 @@ class MembershipEngine:
 
 def containment_table(engine, e_list, nu=None, cap=None):
     """k_empirical(q) vs the theoretical threshold across q = p^e."""
-    p = engine.ring.p
+    qs = [(e, engine.ring.p**e) for e in e_list]
+    for _, q in qs:
+        engine.check_matrix_size(
+            q, cap if cap is not None else engine.default_cap(q, nu)
+        )
     a = engine.ring.a_invariant() if nu is not None else None
     rows = []
-    for e in e_list:
-        q = p**e
+    for e, q in qs:
         k_thy = inclusion_threshold(Fraction(nu), a, q) if nu is not None else None
         try:
             k_emp = engine.min_containment_degree(q, cap=cap, nu_hint=nu)
@@ -321,10 +330,11 @@ def tight_closure_witness_test(engine, f, c, e_range, nu=None):
         raise ValueError("witness multiplier c must be nonzero")
     if not f.is_homogeneous() or not c.is_homogeneous():
         raise ValueError("f and c must be homogeneous")
-    p = engine.ring.p
+    qs = [(e, engine.ring.p**e) for e in e_range]
+    for _, q in qs:
+        engine.check_matrix_size(q, c.degree() + q * f.degree())
     rows = []
-    for e in e_range:
-        q = p**e
+    for e, q in qs:
         cert = engine.membership(q, c * f.frobenius_power(q))
         rows.append(ClosureRow(e, q, cert.member))
     notes = [EVIDENCE_NOTE]
@@ -348,10 +358,12 @@ def frobenius_closure_test(engine, f, e_max, nu=None):
     if not f.is_homogeneous():
         raise ValueError("f must be homogeneous")
     p = engine.ring.p
+    qs = [(e, p**e) for e in range(e_max + 1)]
+    for _, q in qs:
+        engine.check_matrix_size(q, q * f.degree())
     rows = []
     found = None
-    for e in range(e_max + 1):
-        q = p**e
+    for e, q in qs:
         member = engine.membership(q, f.frobenius_power(q)).member
         rows.append(ClosureRow(e, q, member))
         if member:

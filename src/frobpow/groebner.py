@@ -26,10 +26,9 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic generators, no leading monomial of one
     dividing any monomial of another."""
 
-    def __init__(self, generators, order, original=None):
+    def __init__(self, generators, order):
         self.generators = list(generators)
         self.order = order
-        self.original = list(original) if original is not None else list(generators)
         self.leading_monomials = tuple(
             g.leading_monomial(order) for g in self.generators
         )
@@ -149,7 +148,7 @@ def buchberger(gens, order, degree_cap=512):
         r = normal_form(g, others, order) if others else g
         reduced.append(r.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return GroebnerBasis(reduced, order, original=gens)
+    return GroebnerBasis(reduced, order)
 
 
 def monomials_of_degree(num_vars, m):

@@ -29,13 +29,6 @@ def _gemm_dtype(p, block):
     return None  # fall back to integer matmul
 
 
-def as_mod_matrix(rows, p):
-    A = np.asarray(rows, dtype=_storage_dtype(p))
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
-    return A % p
-
-
 def row_echelon_mod(M, p, block=_DEFAULT_BLOCK):
     """In-place row echelon form of M over F_p; returns the pivot columns.
 

@@ -8,6 +8,7 @@ zero terms dropped), so equality is structural.
 
 from __future__ import annotations
 
+import functools
 import re
 
 Monomial = tuple  # tuple[int, ...], one exponent per variable
@@ -25,8 +26,10 @@ class ParseError(PolyError):
         self.offset = offset
 
 
+@functools.cache
 def is_prime(p):
-    """Trial division up to sqrt(p)."""
+    """Trial division up to sqrt(p), memoized: every Polynomial construction
+    checks its characteristic, so the division runs once per prime."""
     if p < 2:
         return False
     if p % 2 == 0:
@@ -42,6 +45,15 @@ def is_prime(p):
 def check_prime(p):
     if not is_prime(p):
         raise PolyError(f"characteristic must be prime, got {p}")
+
+
+def check_p_power(q, p):
+    """Raise PolyError unless q = p^e for some e >= 0."""
+    v = q
+    while v > 1 and v % p == 0:
+        v //= p
+    if v != 1:
+        raise PolyError(f"{q} is not a power of the characteristic {p}")
 
 
 def monomial_mul(a, b):
@@ -240,16 +252,9 @@ class Polynomial:
         Valid because c^q = c in F_p and the Frobenius endomorphism is
         additive in characteristic p.
         """
-        p = self.p
-        e_check = q
-        while e_check > 1:
-            if e_check % p:
-                raise PolyError(f"{q} is not a power of the characteristic {p}")
-            e_check //= p
-        if q < 1:
-            raise PolyError(f"{q} is not a power of the characteristic {p}")
+        check_p_power(q, self.p)
         return Polynomial(
-            p,
+            self.p,
             self.num_vars,
             {tuple(e * q for e in m): c for m, c in self.terms.items()},
         )

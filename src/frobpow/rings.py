@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groebner import buchberger, standard_monomials
+from .groebner import GroebnerBasis, buchberger, standard_monomials
 from .polynomials import MonomialOrder, Polynomial, check_prime, poly_parse
 
 KNOWN_FLAGS = frozenset(
@@ -131,9 +131,7 @@ class RingPresentation:
             if self.relations:
                 self._gb = buchberger(list(self.relations), self.order)
             else:
-                from .groebner import GroebnerBasis
-
-                self._gb = GroebnerBasis([], self.order, original=[])
+                self._gb = GroebnerBasis([], self.order)
         return self._gb
 
     def graded_basis(self, m):

@@ -5,6 +5,7 @@ per-criterion lines inline).  Every criterion is exact: integer equalities,
 zero tolerance, plus wall-clock budgets.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -49,8 +50,34 @@ SMALL_P_CAVEAT = (
     "contradict the slope bound"
 )
 
-# ContainmentTables stashed by criteria 2-4 for the criterion-8 cross-checks.
-_TABLES = {}
+# The problems criteria 2-4 tabulate; criterion 8 cross-checks their tables.
+_TABLE_NAMES = ("criterion2", "criterion3_p2", "criterion3_p3", "criterion4")
+
+
+@functools.cache
+def _table(name):
+    """(engine, rows) of one problem in _TABLE_NAMES, built once per session
+    by whichever of criteria 2-4 and 8 asks first."""
+    if name.startswith("criterion3_p"):
+        # I = (x, y) in F_p[x, y]: k(q) = 2q - 1, against the threshold with
+        # nu = 2 and a = -2 written out
+        p = int(name[len("criterion3_p"):])
+        ring = RingPresentation(p, ("x", "y"), flags=("cohen_macaulay",))
+        eng = MembershipEngine(ring, IdealSpec.from_strings(ring, ["x", "y"]))
+        rows = []
+        for e in (1, 2, 3):
+            q = p**e
+            k_emp = eng.min_containment_degree(q, nu_hint=2)
+            k_thy = inclusion_threshold(2, -2, q)
+            rows.append((e, q, k_emp, k_thy, k_emp == k_thy))
+        return eng, rows
+    gens, nu = {
+        "criterion2": (["x^2", "y^2", "z^2"], 3),
+        "criterion4": (["x", "y"], 2),
+    }[name]
+    ring = fermat_cubic_ring()
+    eng = MembershipEngine(ring, IdealSpec.from_strings(ring, gens))
+    return eng, containment_table(eng, [1, 2], nu=nu)
 
 
 def _report(num, ok, detail):
@@ -109,9 +136,7 @@ def test_criterion_2_inclusion_theorem(tmp_path, capsys):
         and elapsed < 60
     )
     if ok:
-        ring = fermat_cubic_ring()
-        eng = MembershipEngine(ring, IdealSpec.from_strings(ring, ["x^2", "y^2", "z^2"]))
-        _TABLES["criterion2"] = (eng, containment_table(eng, [1, 2], nu=3))
+        _table("criterion2")
     _report(
         2,
         ok,
@@ -125,17 +150,10 @@ def test_criterion_3_parameter_exactness():
     started = time.perf_counter()
     failures = []
     for p in (2, 3):
-        ring = RingPresentation(p, ("x", "y"), flags=("cohen_macaulay",))
-        eng = MembershipEngine(ring, IdealSpec.from_strings(ring, ["x", "y"]))
-        rows = []
-        for e in (1, 2, 3):
-            q = p**e
-            k_emp = eng.min_containment_degree(q, nu_hint=2)
-            k_thy = inclusion_threshold(2, -2, q)
-            rows.append((e, q, k_emp, k_thy, k_emp == k_thy))
+        _, rows = _table(f"criterion3_p{p}")
+        for _, q, k_emp, k_thy, _ in rows:
             if not (k_emp == 2 * q - 1 == k_thy):
                 failures.append((p, q, k_emp, k_thy))
-        _TABLES[f"criterion3_p{p}"] = (eng, rows)
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 5
     _report(
@@ -158,9 +176,7 @@ def test_criterion_4_frobenius_closure_negative(tmp_path, capsys):
     members = [r["member"] for r in doc["payload"]["rows"]] if doc else []
     ok = code == 0 and found is None and members == [False] * 4 and elapsed < 120
     if ok:
-        ring = fermat_cubic_ring()
-        eng = MembershipEngine(ring, IdealSpec.from_strings(ring, ["x", "y"]))
-        _TABLES["criterion4"] = (eng, containment_table(eng, [1, 2], nu=2))
+        _table("criterion4")
     _report(
         4,
         ok,
@@ -317,10 +333,9 @@ def test_criterion_8_consistency_suite():
             problems.append(("frobenius", p, f))
 
     # (c) reverse containment I^[q'] subset of I^[q] for q | q' on the
-    # containment tables produced by criteria 2-4
-    assert set(_TABLES) >= {"criterion2", "criterion3_p2", "criterion3_p3",
-                            "criterion4"}, "criteria 2-4 must run first"
-    for name, (eng, table) in _TABLES.items():
+    # containment tables of criteria 2-4
+    tables = {name: _table(name) for name in _TABLE_NAMES}
+    for name, (eng, table) in tables.items():
         rows = list(table)
         ks = [
             (r.q, r.k_empirical) if hasattr(r, "q") else (r[1], r[2])
@@ -345,6 +360,6 @@ def test_criterion_8_consistency_suite():
         8,
         ok,
         f"hilbert/monomial counts, 500 Frobenius oracle checks, reverse "
-        f"containment on {len(_TABLES)} tables (problems: {problems[:3]}; "
+        f"containment on {len(tables)} tables (problems: {problems[:3]}; "
         f"{elapsed:.1f}s)",
     )

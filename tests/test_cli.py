@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import frobpow
 from frobpow.cli import (
     InputError,
     emit_report,
@@ -9,6 +13,7 @@ from frobpow.cli import (
     parse_problem_file,
     run_command,
 )
+from frobpow.engine import MembershipEngine
 
 from conftest import FERMAT_CUBIC_FPB
 
@@ -257,3 +262,67 @@ def test_emit_report_unknown_format():
 
     with pytest.raises(InputError):
         emit_report(Report("bounds", {}, (), {}), fmt="yaml")
+
+
+# -- per-command arguments, the size guard, the module entry point ----------
+
+def test_refusal_comes_before_any_assembly(tmp_path, capsys, monkeypatch):
+    def fail(self, q, m):
+        raise AssertionError(f"assembled degree {m} for q={q}")
+
+    text = FERMAT_CUBIC_FPB.replace("char = 7", "char = 11").replace(
+        "gens = x^2 ; y^2 ; z^2", "gens = x ; y"
+    )
+    path = write(tmp_path, text)
+    # f^11 already lies in I^[11], but the q = 1331 piece is over the cap
+    code, doc = run_json(
+        capsys, ["frobenius", path, "--emax", "3", "--f", "z^2", "--allow-large"]
+    )
+    assert code == 0 and doc["payload"]["found_e"] == 1
+    monkeypatch.setattr(MembershipEngine, "_assemble", fail)
+    assert run_command(["frobenius", path, "--emax", "3", "--f", "z^2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--allow-large" in captured.err
+
+    # kq at p = 7: the q = 343 search reaches degree 1038, 3114 x 3168
+    cubic = write(tmp_path, FERMAT_CUBIC_FPB, "cubic.fpb")
+    assert run_command(["kq", cubic, "--emax", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degree 1038 for q=343 has 3114x3168" in captured.err
+    assert "--allow-large" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "{path}", "--q", "3", "--elem", "x^3", "--format", "csv"],
+        ["bounds", "{path}", "--allow-large"],
+        ["koszul", "{path}", "--emax", "2"],
+        ["kq", "{path}", "--q", "3"],
+        ["tight", "{path}", "--f", "x"],
+        ["frobenius", "{path}", "--emax", "1"],
+    ],
+)
+def test_flags_outside_a_command_are_input_errors(tmp_path, capsys, argv):
+    path = write(tmp_path, PARAM_FPB)
+    assert run_command([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: frobpow" in captured.err
+
+
+def test_python_dash_m_runs_the_cli(fermat_cubic_file):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(frobpow.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobpow.cli", "bounds", fermat_cubic_file],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("report: bounds\n")
+    assert "  nu = 3" in proc.stdout

@@ -5,6 +5,7 @@ import pytest
 
 from frobpow.engine import (
     IdealSpec,
+    MatrixTooLarge,
     MembershipEngine,
     NotFoundWithinCap,
     containment_table,
@@ -269,3 +270,52 @@ def test_degrees_cached_and_sorted():
     ideal = IdealSpec.from_strings(ring, ["y^3", "x^2"])
     assert ideal.degrees == (3, 2)
     assert ideal.sorted_degrees == (2, 3)
+
+
+# -- size guard ------------------------------------------------------------
+
+@pytest.fixture
+def no_assembly(monkeypatch):
+    def fail(self, q, m):
+        raise AssertionError(f"assembled degree {m} for q={q}")
+
+    monkeypatch.setattr(MembershipEngine, "_assemble", fail)
+
+
+def test_size_guard_refuses_each_operation_before_assembly(
+    cubic_squares, no_assembly
+):
+    ring, ideal = cubic_squares
+    # degree 22 for q = 7 is 66 x 72: above a cap of 1000 entries
+    eng = MembershipEngine(ring, ideal, max_entries=1000)
+    with pytest.raises(MatrixTooLarge, match="66x72 = 4752 entries"):
+        eng.membership(7, ring.parse("x^8*y^8*z^6"))
+    with pytest.raises(MatrixTooLarge):
+        eng.degree_containment(7, 22)
+    with pytest.raises(MatrixTooLarge):
+        containment_table(eng, [1], nu=3)
+    with pytest.raises(MatrixTooLarge):
+        tight_closure_witness_test(
+            eng, ring.parse("x^3"), ring.parse("x"), range(1, 2)
+        )
+    with pytest.raises(MatrixTooLarge):
+        frobenius_closure_test(eng, ring.parse("x^3"), 1)
+
+
+def test_size_guard_checks_every_piece_first():
+    # f^11 already lies in I^[11] (found_e = 1), so a scan that stopped there
+    # would never build the q = 121 piece; the guard still refuses it
+    ring = fermat_cubic_ring(p=11)
+    f = ring.parse("z^2")
+    uncapped = engine_for(ring, ["x", "y"])
+    assert frobenius_closure_test(uncapped, f, 2).found_e == 1
+    capped = MembershipEngine(ring, uncapped.ideal, max_entries=10_000)
+    with pytest.raises(MatrixTooLarge, match="degree 242 for q=121"):
+        frobenius_closure_test(capped, f, 2)
+
+
+def test_size_guard_passes_pieces_within_the_cap(cubic_squares):
+    ring, ideal = cubic_squares
+    eng = MembershipEngine(ring, ideal, max_entries=66 * 72)
+    assert eng.membership(7, ring.parse("x^8*y^8*z^6")).member
+    assert eng.degree_containment(7, 22)

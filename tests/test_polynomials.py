@@ -7,6 +7,7 @@ from frobpow.polynomials import (
     ParseError,
     PolyError,
     Polynomial,
+    check_p_power,
     poly_format,
     poly_parse,
 )
@@ -160,6 +161,14 @@ def test_frobenius_rejects_non_p_power():
         f.frobenius_power(10)
     with pytest.raises(PolyError):
         f.frobenius_power(0)
+
+
+def test_check_p_power():
+    for q in (1, 3, 9, 243):
+        check_p_power(q, 3)
+    for q in (0, -3, 2, 6, 10, 3**5 * 2):
+        with pytest.raises(PolyError, match="not a power of the characteristic 3"):
+            check_p_power(q, 3)
 
 
 @given(polynomials(), st.integers(1, 2))
