@@ -100,8 +100,8 @@ def parse_problem_file(text):
         raise InputError(f"line {ln} in [ring]: char must be an integer")
     try:
         check_prime(p)
-    except PolyError:
-        raise InputError(f"line {ln} in [ring]: characteristic must be prime")
+    except PolyError as exc:
+        raise InputError(f"line {ln} in [ring]: {exc}")
 
     vars_s, ln = take("ring", "vars", required=True)
     var_names = tuple(vars_s.split())
@@ -306,6 +306,15 @@ def _nu_for(pf):
     return bounds_mod.compute_nu(pf.ideal.degrees, pf.ring.dim, pf.ring.flags)
 
 
+def _nu_or_none(pf):
+    """nu, or None when the ring's flags do not establish it: the closure
+    tests then run without the slope-bound guarantee and prediction."""
+    try:
+        return _nu_for(pf)[0]
+    except (AssumptionMissing, ValueError):
+        return None
+
+
 def _engine(pf, args):
     max_entries = None if args.allow_large else MAX_MATRIX_ENTRIES
     return MembershipEngine(pf.ring, pf.ideal, max_entries=max_entries)
@@ -374,10 +383,7 @@ def _cmd_member(pf, args):
 def _cmd_tight(pf, args):
     f = _parse_elem(pf, args.f, "--f")
     c = _parse_elem(pf, args.c, "--c")
-    try:
-        nu, _ = _nu_for(pf)
-    except (AssumptionMissing, ValueError):
-        nu = None
+    nu = _nu_or_none(pf)
     rep = tight_closure_witness_test(
         _engine(pf, args), f, c, range(1, args.emax + 1), nu=nu
     )
@@ -396,10 +402,7 @@ def _cmd_tight(pf, args):
 
 def _cmd_frobenius(pf, args):
     f = _parse_elem(pf, args.f, "--f")
-    try:
-        nu, _ = _nu_for(pf)
-    except (AssumptionMissing, ValueError):
-        nu = None
+    nu = _nu_or_none(pf)
     rep = frobenius_closure_test(_engine(pf, args), f, args.emax, nu=nu)
     payload = {
         "f": poly_format(f, pf.ring.var_names),

@@ -184,17 +184,17 @@ class MembershipEngine:
         target = self.ring.graded_basis(m)
         index = target.index
         col_meta = []
-        cols = []
-        for meta, coords in self._columns(q, m):
-            col = np.zeros(len(target), dtype=np.int64)
-            for mono, c in coords.items():
-                col[index[mono]] = c
+        rows, cols, vals = [], [], []
+        for j, (meta, coords) in enumerate(self._columns(q, m)):
             col_meta.append(meta)
-            cols.append(col)
-        if cols:
-            A = np.stack(cols, axis=1)
-        else:
-            A = np.zeros((len(target), 0), dtype=np.int64)
+            for mono, c in coords.items():
+                rows.append(index[mono])
+                cols.append(j)
+                vals.append(c)
+        A = np.zeros(
+            (len(target), len(col_meta)), dtype=linalg._storage_dtype(self.ring.p)
+        )
+        A[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = vals
         return target, col_meta, A
 
     # -- operations --------------------------------------------------------

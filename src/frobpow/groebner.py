@@ -167,11 +167,40 @@ def monomials_of_degree(num_vars, m):
 
 def standard_monomials(gb, m):
     """Degree-m monomials not divisible by any leading monomial of gb,
-    sorted descending in the basis order; an F_p-basis of (R/ideal)_m."""
+    sorted descending in the basis order; an F_p-basis of (R/ideal)_m.
+
+    Exponents are chosen one variable at a time, and a prefix is dropped as
+    soon as a leading monomial supported on the prefix's variables divides
+    it; the variables after the last one any leading monomial involves take
+    every monomial of the remaining degree at once.
+    """
+    n = gb.order.num_vars
     leads = gb.leading_monomials
-    out = [
-        mono
-        for mono in monomials_of_degree(gb.order.num_vars, m)
-        if not any(monomial_divides(lm, mono) for lm in leads)
-    ]
+    lasts = [max((i for i, e in enumerate(lm) if e), default=0) for lm in leads]
+    # prefix variables x_0..x_{split-1}; the tail keeps at least the last
+    # variable, which takes up the remaining degree
+    split = max(0, min(n - 1, max(lasts, default=-1) + 1))
+    # by_last[i]: leads whose last variable is x_i, cut to x_0..x_i
+    by_last = [[] for _ in range(split)]
+    for lm, last in zip(leads, lasts):
+        if last < split:
+            by_last[last].append(lm[: last + 1])
+
+    def prefixes(i, prefix, deg):
+        if i == split:
+            yield prefix, deg
+            return
+        for e in range(m - deg + 1):
+            ext = prefix + (e,)
+            # a lead dividing ext divides it for every larger exponent of x_i
+            if any(monomial_divides(lm, ext) for lm in by_last[i]):
+                break
+            yield from prefixes(i + 1, ext, deg + e)
+
+    out = []
+    for prefix, deg in prefixes(0, (), 0):
+        for tail in monomials_of_degree(n - split, m - deg):
+            mono = prefix + tail
+            if not any(monomial_divides(lm, mono) for lm in leads):
+                out.append(mono)
     return gb.order.sorted_desc(out)

@@ -1,10 +1,23 @@
-"""Dense exact linear algebra over F_p on top of numpy.
+"""Exact linear algebra over F_p on top of numpy, split into connected blocks.
+
+``rank_mod`` and ``solve_mod`` first split the matrix into the connected
+components of the bipartite graph whose vertices are its rows and columns and
+whose edges are its nonzero entries.  Each block keeps its rows and
+columns in their original order and is eliminated on its own; zero rows and
+zero columns belong to no block.  Columns of different blocks share no rows,
+so column j is a pivot of its block exactly when it is a pivot of the whole
+matrix (it is not in the span of the columns before it): the rank is the sum
+of the block ranks, and the solution with free variables at 0 is the block
+solutions put back in place, identical to a dense solve.  A matrix that forms
+one block is eliminated whole.
 
 Row echelon runs blocked (right-looking LU style): panels are eliminated with
 per-pivot vectorized updates and the trailing submatrix is updated with one
-matrix product per panel, so large membership matrices stay BLAS-bound.
-Products are taken in float32/float64 with inner dimension <= block, which is
-exact for the moduli this tool targets (machine-word primes).
+matrix product per panel, so large blocks stay BLAS-bound.  Products are
+exact for every prime below 2**32: float32/float64 matmul while
+block * (p-1)**2 fits the mantissa, integer products while k * (p-1)**2
+(k the inner dimension) stays below 2**63, and beyond that ``_matmul_mod``
+splits the right operand into 16-bit halves.
 """
 
 from __future__ import annotations
@@ -13,6 +26,8 @@ import numpy as np
 
 _DEFAULT_BLOCK = 128
 _CHUNK = 4096
+# inner-dimension chunk of a split product: (p-1) * (2**16-1) * 2**14 < 2**62
+_SPLIT_CHUNK = 2**14
 
 
 def _storage_dtype(p):
@@ -27,6 +42,35 @@ def _gemm_dtype(p, block):
     if block * (p - 1) ** 2 < 2**53:
         return np.float64
     return None  # fall back to integer matmul
+
+
+def _matmul_mod(A, B, p):
+    """A @ B for 2-D integer arrays with entries in [0, p), p < 2**32, as an
+    array congruent to the product mod p; the caller reduces it.
+
+    While k * (p-1)**2 (k the inner dimension) fits the operands' dtype, or
+    int64, the raw product is returned; an inner dimension of 1 is a
+    broadcast multiply (an outer product), which numpy does much faster than
+    an integer matmul.  Beyond 2**63 every partial product is kept exact by
+    splitting B into 16-bit halves, and the result comes back reduced mod p.
+    """
+    k = A.shape[1]
+    mul = np.multiply if k == 1 else np.matmul
+    bound = k * (p - 1) ** 2
+    if bound <= np.iinfo(np.result_type(A, B)).max:
+        return mul(A, B)
+    A = A.astype(np.int64, copy=False)
+    B = B.astype(np.int64, copy=False)
+    if bound < 2**63:
+        return mul(A, B)
+    lo, hi = B & 0xFFFF, B >> 16
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for s in range(0, k, _SPLIT_CHUNK):
+        a = A[:, s : s + _SPLIT_CHUNK]
+        out += (mul(a, hi[s : s + _SPLIT_CHUNK]) % p) << 16
+        out += mul(a, lo[s : s + _SPLIT_CHUNK])
+        out %= p
+    return out
 
 
 def row_echelon_mod(M, p, block=_DEFAULT_BLOCK):
@@ -54,11 +98,12 @@ def row_echelon_mod(M, p, block=_DEFAULT_BLOCK):
             if pr != r + k:
                 M[[r + k, pr], :] = M[[pr, r + k], :]
                 L[[k, pr - r], :] = L[[pr - r, k], :]
-            pinv = pow(int(M[r + k, col]), -1, p)
-            mult = M[r + k + 1 :, col] * pinv % p
-            L[k + 1 :, k] = mult
+            pinv = np.array([[pow(int(M[r + k, col]), -1, p)]], dtype=M.dtype)
+            mult = _matmul_mod(M[r + k + 1 :, col : col + 1], pinv, p) % p
+            L[k + 1 :, k] = mult[:, 0]
             M[r + k + 1 :, col:cend] = (
-                M[r + k + 1 :, col:cend] - np.outer(mult, M[r + k, col:cend])
+                M[r + k + 1 :, col:cend]
+                - _matmul_mod(mult, M[r + k : r + k + 1, col:cend], p)
             ) % p
             pivots.append(col)
             k += 1
@@ -66,9 +111,8 @@ def row_echelon_mod(M, p, block=_DEFAULT_BLOCK):
             A12 = M[r : r + k, cend:]
             # forward-substitute the unit lower triangle of the panel
             for j in range(k - 1):
-                A12[j + 1 : k] = (
-                    A12[j + 1 : k] - np.outer(L[j + 1 : k, j], A12[j])
-                ) % p
+                prod = _matmul_mod(L[j + 1 : k, j : j + 1], A12[j : j + 1], p)
+                A12[j + 1 : k] = (A12[j + 1 : k] - prod) % p
             L21 = L[k:, :k]
             A22 = M[r + k :, cend:]
             if L21.size and A22.size:
@@ -84,20 +128,87 @@ def row_echelon_mod(M, p, block=_DEFAULT_BLOCK):
                         else:
                             prod = prod.astype(np.int64) % p
                     else:
-                        prod = (
-                            L21.astype(np.int64) @ A12[:, sl].astype(np.int64)
-                        ) % p
+                        prod = _matmul_mod(L21, A12[:, sl], p) % p
                     A22[:, sl] = (A22[:, sl] - prod) % p
         r += k
         c = cend
     return pivots
 
 
+def _blocks(A):
+    """Connected blocks of A, as (rows, cols) pairs of ascending index arrays;
+    a row or column with no nonzero entry is in no block.  An entry that is
+    nonzero but 0 mod p can only merge two blocks, which changes no result."""
+    n, m = A.shape
+    rows, cols = np.nonzero(A)
+    if rows.size == 0:
+        return []
+    # union-find on vertices 0..n-1 (rows) and n..n+m-1 (columns): hook the
+    # larger root of every edge that joins two trees onto the smaller one, then
+    # compress every path to its root, until no edge joins two trees
+    u, v = rows, cols + n
+    parent = np.arange(n + m)
+    while True:
+        pu, pv = parent[u], parent[v]
+        join = pu != pv
+        if not join.any():
+            break
+        pu, pv = pu[join], pv[join]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
+    # a component's root is its smallest vertex, a row: group by root
+    nz_rows = np.flatnonzero(np.bincount(rows, minlength=n))
+    nz_cols = np.flatnonzero(np.bincount(cols, minlength=m))
+    row_root = parent[nz_rows]
+    col_root = parent[nz_cols + n]
+    row_order = np.argsort(row_root, kind="stable")
+    col_order = np.argsort(col_root, kind="stable")
+    _, row_start = np.unique(row_root[row_order], return_index=True)
+    _, col_start = np.unique(col_root[col_order], return_index=True)
+    return list(
+        zip(
+            np.split(nz_rows[row_order], row_start[1:]),
+            np.split(nz_cols[col_order], col_start[1:]),
+        )
+    )
+
+
+def _submatrix(A, rows, cols, extra_cols=0):
+    """A fresh copy of A[rows][:, cols], with extra_cols spare columns."""
+    M = np.empty((len(rows), len(cols) + extra_cols), dtype=A.dtype)
+    if len(rows) == A.shape[0] and len(cols) == A.shape[1]:
+        M[:, : len(cols)] = A  # one block spanning the matrix
+    else:
+        M[:, : len(cols)] = A[np.ix_(rows, cols)]
+    return M
+
+
 def rank_mod(A, p, block=_DEFAULT_BLOCK):
-    M = np.array(A, dtype=_storage_dtype(p))
-    if M.size == 0:
-        return 0
-    return len(row_echelon_mod(M, p, block=block))
+    A = np.asarray(A, dtype=_storage_dtype(p))
+    return sum(
+        len(row_echelon_mod(_submatrix(A, rows, cols), p, block=block))
+        for rows, cols in _blocks(A)
+    )
+
+
+def _solve_augmented(M, p, block):
+    """Solution of [A | b] = M with free variables 0, or None; M is reduced
+    to row echelon form in place."""
+    m = M.shape[1] - 1
+    pivots = row_echelon_mod(M, p, block=block)
+    if pivots and pivots[-1] == m:
+        return None
+    x = np.zeros((m, 1), dtype=np.int64)
+    for i in range(len(pivots) - 1, -1, -1):
+        pc = pivots[i]
+        row = M[i : i + 1].astype(np.int64)
+        s = int(_matmul_mod(row[:, pc + 1 : m], x[pc + 1 :], p)[0, 0]) % p
+        x[pc] = pow(int(row[0, pc]), -1, p) * ((int(row[0, m]) - s) % p) % p
+    return x[:, 0]
 
 
 def solve_mod(A, b, p, block=_DEFAULT_BLOCK):
@@ -108,18 +219,19 @@ def solve_mod(A, b, p, block=_DEFAULT_BLOCK):
     n, m = A.shape
     if b.shape[0] != n:
         raise ValueError("dimension mismatch")
-    if n == 0:
-        return np.zeros(m, dtype=_storage_dtype(p))
-    M = np.empty((n, m + 1), dtype=_storage_dtype(p))
-    M[:, :m] = A % p
-    M[:, m] = b % p
-    pivots = row_echelon_mod(M, p, block=block)
-    if pivots and pivots[-1] == m:
+    blocks = _blocks(A)
+    # b must vanish on the rows of no block: A is zero there
+    outside = np.ones(n, dtype=bool)
+    for rows, _ in blocks:
+        outside[rows] = False
+    if (b[outside] % p).any():
         return None
-    x = np.zeros(m, dtype=np.int64)
-    for i in range(len(pivots) - 1, -1, -1):
-        pc = pivots[i]
-        row = M[i].astype(np.int64)
-        s = int(row[pc + 1 : m] @ x[pc + 1 :]) % p
-        x[pc] = pow(int(row[pc]), -1, p) * ((int(row[m]) - s) % p) % p
-    return x.astype(_storage_dtype(p))
+    x = np.zeros(m, dtype=_storage_dtype(p))
+    for rows, cols in blocks:
+        M = _submatrix(A, rows, cols, extra_cols=1)
+        M[:, -1] = b[rows]
+        xb = _solve_augmented(M, p, block)
+        if xb is None:
+            return None
+        x[cols] = xb
+    return x

@@ -43,6 +43,10 @@ def is_prime(p):
 
 
 def check_prime(p):
+    # linalg keeps its products exact by splitting operands into two 16-bit
+    # halves, which covers every p below 2**32
+    if p >= 2**32:
+        raise PolyError(f"characteristic must be below 2**32, got {p}")
     if not is_prime(p):
         raise PolyError(f"characteristic must be prime, got {p}")
 

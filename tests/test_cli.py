@@ -326,3 +326,11 @@ def test_python_dash_m_runs_the_cli(fermat_cubic_file):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("report: bounds\n")
     assert "  nu = 3" in proc.stdout
+
+
+def test_characteristic_above_2_to_32_is_an_input_error(tmp_path, capsys):
+    # 4294967311 is prime, but above the ceiling of linalg's exact products
+    path = write(tmp_path, PARAM_FPB.replace("char = 3", "char = 4294967311"))
+    assert run_command(["bounds", path]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "below 2**32" in err

@@ -5,6 +5,7 @@ import pytest
 
 from frobpow.groebner import (
     DegreeCapExceeded,
+    GroebnerBasis,
     buchberger,
     monomials_of_degree,
     normal_form,
@@ -186,3 +187,24 @@ def test_standard_monomials_exclude_leading_monomial():
     monos = standard_monomials(gb, 3)
     assert len(monos) == 9
     assert (3, 0, 0) not in monos
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3, 4])
+def test_standard_monomials_match_filtering_every_monomial(num_vars):
+    # leading monomials of random monomial ideals (a set of monomials is its
+    # own Groebner basis), the unit monomial included now and then
+    rng = random.Random(num_vars)
+    for _ in range(60):
+        order = MonomialOrder(rng.choice(MonomialOrder.KINDS), num_vars)
+        leads = {
+            tuple(rng.randint(0, 3) for _ in range(num_vars))
+            for _ in range(rng.randint(0, 4))
+        }
+        gb = GroebnerBasis([Polynomial(5, num_vars, {lm: 1}) for lm in leads], order)
+        for m in range(7):
+            expected = order.sorted_desc(
+                mono
+                for mono in monomials_of_degree(num_vars, m)
+                if not any(monomial_divides(lm, mono) for lm in leads)
+            )
+            assert standard_monomials(gb, m) == expected

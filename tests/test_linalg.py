@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from frobpow.linalg import rank_mod, row_echelon_mod, solve_mod
+from frobpow.polynomials import PolyError, Polynomial, check_prime
 
 
 def rank_oracle(A, p):
@@ -101,3 +102,104 @@ def test_exhaustive_tiny_over_f2():
     for bits in itertools.product((0, 1), repeat=9):
         A = [list(bits[0:3]), list(bits[3:6]), list(bits[6:9])]
         assert rank_mod(np.array(A), 2, block=2) == rank_oracle(A, 2)
+
+
+# -- block split -------------------------------------------------------------
+
+def dense_solve(A, b, p):
+    """Solution with free variables 0 from one row_echelon_mod of the unsplit
+    augmented matrix, back-substituted in Python."""
+    n, m = A.shape
+    M = np.empty((n, m + 1), dtype=np.int64)
+    M[:, :m], M[:, m] = A, b
+    pivots = row_echelon_mod(M, p)
+    if pivots and pivots[-1] == m:
+        return None
+    x = [0] * m
+    for i in range(len(pivots) - 1, -1, -1):
+        pc = pivots[i]
+        s = sum(int(M[i, j]) * x[j] for j in range(pc + 1, m))
+        x[pc] = pow(int(M[i, pc]), -1, p) * (int(M[i, m]) - s) % p
+    return x
+
+
+def scrambled_block_diagonal(rng, p):
+    """Random blocks of random rank on the diagonal, plus zero rows and zero
+    columns, with rows and columns permuted."""
+    def draw(lo, hi):
+        return int(rng.integers(lo, hi + 1))
+
+    shapes = [(draw(1, 6), draw(1, 6)) for _ in range(draw(1, 5))]
+    n = sum(r for r, _ in shapes) + draw(0, 3)
+    m = sum(c for _, c in shapes) + draw(0, 3)
+    A = np.zeros((n, m), dtype=np.int64)
+    r0 = c0 = 0
+    for r, c in shapes:
+        k = draw(1, min(r, c))
+        U = rng.integers(0, p, size=(r, k))
+        V = rng.integers(0, p, size=(k, c))
+        A[r0 : r0 + r, c0 : c0 + c] = (U @ V) % p
+        r0, c0 = r0 + r, c0 + c
+    return A[rng.permutation(n)][:, rng.permutation(m)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 32749])
+def test_block_split_rank_and_solve_match_unsplit(p):
+    rng = np.random.default_rng(p)
+    for _ in range(30):
+        A = scrambled_block_diagonal(rng, p)
+        assert rank_mod(A, p) == rank_oracle(A.tolist(), p)
+        n, m = A.shape
+        for b in (A @ rng.integers(0, p, size=m) % p, rng.integers(0, p, size=n)):
+            x = solve_mod(A, b, p)
+            expected = dense_solve(A, b, p)
+            if expected is None:
+                assert x is None
+            else:
+                assert x is not None and x.tolist() == expected
+
+
+def test_solve_nonzero_on_empty_row_is_inconsistent():
+    p = 7
+    A = np.array([[1, 2, 0], [0, 0, 0], [0, 0, 3]])
+    assert solve_mod(A, np.array([1, 0, 3]), p).tolist() == [1, 0, 1]
+    assert solve_mod(A, np.array([1, 5, 3]), p) is None
+    # an entry of p is zero mod p: its row is empty too
+    assert solve_mod(np.array([[p, 0], [0, 1]]), np.array([1, 0]), p) is None
+
+
+def test_empty_matrices():
+    p = 5
+    assert rank_mod(np.zeros((0, 4), dtype=int), p) == 0
+    assert rank_mod(np.zeros((3, 0), dtype=int), p) == 0
+    assert solve_mod(np.zeros((0, 4), dtype=int), np.zeros(0, dtype=int), p).tolist() == [0] * 4
+    assert solve_mod(np.zeros((3, 0), dtype=int), np.zeros(3, dtype=int), p).tolist() == []
+    assert solve_mod(np.zeros((3, 0), dtype=int), np.array([0, 2, 0]), p) is None
+
+
+# -- every prime the parser accepts ------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 32749, 65537, 16777213, 2**31 - 1, 4294967291])
+def test_rank_and_solve_exact_across_prime_bands(p):
+    rng = random.Random(p)
+    for _ in range(12):
+        n, m = rng.randint(1, 40), rng.randint(1, 40)
+        k = rng.randint(1, min(n, m))
+        U = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
+        V = [[rng.randrange(p) for _ in range(m)] for _ in range(k)]
+        A = [[sum(u * v for u, v in zip(row, col)) % p for col in zip(*V)] for row in U]
+        block = rng.choice([1, 3, 16, 128])
+        assert rank_mod(np.array(A, dtype=np.int64), p, block=block) == rank_oracle(A, p)
+        x0 = [rng.randrange(p) for _ in range(m)]
+        b = [sum(a * v for a, v in zip(row, x0)) % p for row in A]
+        x = solve_mod(np.array(A, dtype=np.int64), np.array(b, dtype=np.int64), p, block=block)
+        assert x is not None
+        assert [sum(a * int(v) for a, v in zip(row, x)) % p for row in A] == b
+
+
+def test_characteristic_above_ceiling_is_refused():
+    check_prime(4294967291)  # the largest prime below 2**32
+    with pytest.raises(PolyError, match="below 2\\*\\*32"):
+        check_prime(4294967311)  # the smallest prime above it
+    with pytest.raises(PolyError):
+        Polynomial(4294967311, 1, {(1,): 1})
