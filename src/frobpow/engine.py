@@ -59,7 +59,6 @@ class IdealSpec:
             if g.is_zero() or not g.is_homogeneous():
                 raise ValueError("generators must be nonzero and homogeneous")
         object.__setattr__(self, "degrees", tuple(g.degree() for g in self.generators))
-        object.__setattr__(self, "sorted_degrees", tuple(sorted(self.degrees)))
 
     @classmethod
     def from_strings(cls, ring, texts):

@@ -11,23 +11,23 @@ of the block ranks, and the solution with free variables at 0 is the block
 solutions put back in place, identical to a dense solve.  A matrix that forms
 one block is eliminated whole.
 
-Row echelon runs blocked (right-looking LU style): panels are eliminated with
-per-pivot vectorized updates and the trailing submatrix is updated with one
-matrix product per panel, so large blocks stay BLAS-bound.  Products are
-exact for every prime below 2**32: float32/float64 matmul while
-block * (p-1)**2 fits the mantissa, integer products while k * (p-1)**2
-(k the inner dimension) stays below 2**63, and beyond that ``_matmul_mod``
-splits the right operand into 16-bit halves.
+Row echelon runs blocked (right-looking LU style) in panels of ``_PANEL``
+columns: a panel is eliminated with per-pivot vectorized updates and the
+trailing submatrix is updated with one matrix product per panel, so large
+blocks stay BLAS-bound.  Every product goes through ``_matmul_mod``, the one
+place that decides how to multiply exactly mod p for every prime below 2**32,
+from the bound k * (p-1)**2 on its entries (k the inner dimension, at most
+``_PANEL``): float32 BLAS below 2**24, float64 BLAS below 2**53, int64 below
+2**63, and beyond that the right operand split into 16-bit halves.  An outer
+product (k = 1) is a broadcast multiply, which BLAS would not speed up, so it
+stays on integers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_DEFAULT_BLOCK = 128
-_CHUNK = 4096
-# inner-dimension chunk of a split product: (p-1) * (2**16-1) * 2**14 < 2**62
-_SPLIT_CHUNK = 2**14
+_PANEL = 128
 
 
 def _storage_dtype(p):
@@ -35,45 +35,32 @@ def _storage_dtype(p):
     return np.int32 if p <= 32749 else np.int64
 
 
-def _gemm_dtype(p, block):
-    # exact float accumulation: block * (p-1)^2 must fit the mantissa
-    if block * (p - 1) ** 2 < 2**24:
-        return np.float32
-    if block * (p - 1) ** 2 < 2**53:
-        return np.float64
-    return None  # fall back to integer matmul
-
-
 def _matmul_mod(A, B, p):
-    """A @ B for 2-D integer arrays with entries in [0, p), p < 2**32, as an
-    array congruent to the product mod p; the caller reduces it.
+    """A @ B for 2-D integer arrays with entries in [0, p), p < 2**32 and inner
+    dimension k < 2**14, as an unreduced array congruent to the product mod
+    p; the caller reduces it once.
 
-    While k * (p-1)**2 (k the inner dimension) fits the operands' dtype, or
-    int64, the raw product is returned; an inner dimension of 1 is a
-    broadcast multiply (an outer product), which numpy does much faster than
-    an integer matmul.  Beyond 2**63 every partial product is kept exact by
-    splitting B into 16-bit halves, and the result comes back reduced mod p.
+    The result has the operands' dtype when k * (p-1)**2 + p fits it, so the
+    caller's ``(C - A @ B) % p`` cannot overflow, and int64 otherwise.
     """
     k = A.shape[1]
-    mul = np.multiply if k == 1 else np.matmul
     bound = k * (p - 1) ** 2
-    if bound <= np.iinfo(np.result_type(A, B)).max:
-        return mul(A, B)
-    A = A.astype(np.int64, copy=False)
-    B = B.astype(np.int64, copy=False)
+    dtype = np.result_type(A, B)
+    if bound + p > np.iinfo(dtype).max:
+        dtype = np.int64
+    if k > 1 and bound < 2**53:
+        # BLAS: float sums of integers stay exact while they fit the mantissa
+        f = np.float32 if bound < 2**24 else np.float64
+        return (A.astype(f) @ B.astype(f)).astype(dtype)
+    # an inner dimension of 1 is an outer product: a broadcast multiply
+    mul = np.multiply if k == 1 else np.matmul
     if bound < 2**63:
-        return mul(A, B)
-    lo, hi = B & 0xFFFF, B >> 16
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for s in range(0, k, _SPLIT_CHUNK):
-        a = A[:, s : s + _SPLIT_CHUNK]
-        out += (mul(a, hi[s : s + _SPLIT_CHUNK]) % p) << 16
-        out += mul(a, lo[s : s + _SPLIT_CHUNK])
-        out %= p
-    return out
+        return mul(A, B, dtype=dtype)
+    # each product of a half stays below k * 2**48 < 2**62
+    return (mul(A, B >> 16, dtype=dtype) % p << 16) + mul(A, B & 0xFFFF, dtype=dtype)
 
 
-def row_echelon_mod(M, p, block=_DEFAULT_BLOCK):
+def row_echelon_mod(M, p):
     """In-place row echelon form of M over F_p; returns the pivot columns.
 
     Deterministic: pivots are the first nonzero entry in each column, columns
@@ -81,12 +68,11 @@ def row_echelon_mod(M, p, block=_DEFAULT_BLOCK):
     """
     n, m = M.shape
     np.mod(M, p, out=M)
-    gemm = _gemm_dtype(p, block)
     pivots = []
     r = 0
     c = 0
     while r < n and c < m:
-        cend = min(c + block, m)
+        cend = min(c + _PANEL, m)
         nrem = n - r
         L = np.zeros((nrem, cend - c), dtype=M.dtype)
         k = 0
@@ -113,23 +99,8 @@ def row_echelon_mod(M, p, block=_DEFAULT_BLOCK):
             for j in range(k - 1):
                 prod = _matmul_mod(L[j + 1 : k, j : j + 1], A12[j : j + 1], p)
                 A12[j + 1 : k] = (A12[j + 1 : k] - prod) % p
-            L21 = L[k:, :k]
             A22 = M[r + k :, cend:]
-            if L21.size and A22.size:
-                # raw products stay below block * (p-1)^2; reduce mod p on the
-                # integer side (float remainder is an order of magnitude slower)
-                raw_fits_storage = k * (p - 1) ** 2 < np.iinfo(M.dtype).max - p
-                for s in range(0, m - cend, _CHUNK):
-                    sl = slice(s, min(s + _CHUNK, m - cend))
-                    if gemm is not None:
-                        prod = L21.astype(gemm) @ A12[:, sl].astype(gemm)
-                        if raw_fits_storage:
-                            prod = prod.astype(M.dtype)
-                        else:
-                            prod = prod.astype(np.int64) % p
-                    else:
-                        prod = _matmul_mod(L21, A12[:, sl], p) % p
-                    A22[:, sl] = (A22[:, sl] - prod) % p
+            A22[:] = (A22 - _matmul_mod(L[k:, :k], A12, p)) % p
         r += k
         c = cend
     return pivots
@@ -187,31 +158,33 @@ def _submatrix(A, rows, cols, extra_cols=0):
     return M
 
 
-def rank_mod(A, p, block=_DEFAULT_BLOCK):
+def rank_mod(A, p):
     A = np.asarray(A, dtype=_storage_dtype(p))
     return sum(
-        len(row_echelon_mod(_submatrix(A, rows, cols), p, block=block))
-        for rows, cols in _blocks(A)
+        len(row_echelon_mod(_submatrix(A, rows, cols), p)) for rows, cols in _blocks(A)
     )
 
 
-def _solve_augmented(M, p, block):
+def _solve_augmented(M, p):
     """Solution of [A | b] = M with free variables 0, or None; M is reduced
-    to row echelon form in place."""
+    to row echelon form in place and its last column consumed."""
     m = M.shape[1] - 1
-    pivots = row_echelon_mod(M, p, block=block)
+    pivots = row_echelon_mod(M, p)
     if pivots and pivots[-1] == m:
         return None
-    x = np.zeros((m, 1), dtype=np.int64)
+    x = np.zeros(m, dtype=M.dtype)
+    rhs = M[:, m:]
+    # back-substitute by columns: once x[pc] is known, move its column of the
+    # rows above to the right-hand side
     for i in range(len(pivots) - 1, -1, -1):
         pc = pivots[i]
-        row = M[i : i + 1].astype(np.int64)
-        s = int(_matmul_mod(row[:, pc + 1 : m], x[pc + 1 :], p)[0, 0]) % p
-        x[pc] = pow(int(row[0, pc]), -1, p) * ((int(row[0, m]) - s) % p) % p
-    return x[:, 0]
+        x[pc] = pow(int(M[i, pc]), -1, p) * int(rhs[i, 0]) % p
+        prod = _matmul_mod(M[:i, pc : pc + 1], x[pc : pc + 1, None], p)
+        rhs[:i] = (rhs[:i] - prod) % p
+    return x
 
 
-def solve_mod(A, b, p, block=_DEFAULT_BLOCK):
+def solve_mod(A, b, p):
     """One solution x of A x = b over F_p (free variables set to 0), or None
     if the system is inconsistent."""
     A = np.asarray(A, dtype=_storage_dtype(p))
@@ -230,7 +203,7 @@ def solve_mod(A, b, p, block=_DEFAULT_BLOCK):
     for rows, cols in blocks:
         M = _submatrix(A, rows, cols, extra_cols=1)
         M[:, -1] = b[rows]
-        xb = _solve_augmented(M, p, block)
+        xb = _solve_augmented(M, p)
         if xb is None:
             return None
         x[cols] = xb

@@ -153,11 +153,6 @@ class Polynomial:
     def constant(cls, p, num_vars, c):
         return cls(p, num_vars, {(0,) * num_vars: c})
 
-    @classmethod
-    def variable(cls, p, num_vars, i, exponent=1):
-        mono = tuple(exponent if j == i else 0 for j in range(num_vars))
-        return cls(p, num_vars, {mono: 1})
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self):
@@ -285,15 +280,6 @@ class Polynomial:
 
 # -- parsing / formatting --------------------------------------------------
 
-_DEFAULT_ORDER_CACHE = {}
-
-
-def _default_order(n):
-    if n not in _DEFAULT_ORDER_CACHE:
-        _DEFAULT_ORDER_CACHE[n] = MonomialOrder("grevlex", n)
-    return _DEFAULT_ORDER_CACHE[n]
-
-
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INT = re.compile(r"\d+")
 
@@ -398,7 +384,7 @@ def poly_format(f, var_names, order=None):
     """Deterministic string form; round-trips through poly_parse."""
     if f.is_zero():
         return "0"
-    order = order or _default_order(f.num_vars)
+    order = order or MonomialOrder("grevlex", f.num_vars)
     parts = []
     for mono in order.sorted_desc(f.terms):
         c = f.terms[mono]

@@ -269,7 +269,6 @@ def test_degrees_cached_and_sorted():
     ring = poly_ring(5)
     ideal = IdealSpec.from_strings(ring, ["y^3", "x^2"])
     assert ideal.degrees == (3, 2)
-    assert ideal.sorted_degrees == (2, 3)
 
 
 # -- size guard ------------------------------------------------------------
