@@ -2,10 +2,8 @@
 homogeneous ideals in standard-graded rings of characteristic p."""
 
 from .bounds import (
-    BoundReport,
     KoszulInvariants,
     chardin_constant,
-    compute_bound_report,
     compute_nu,
     inclusion_threshold,
     koszul_invariants,
@@ -16,7 +14,6 @@ from .bounds import (
 )
 from .engine import (
     ContainmentRow,
-    ContainmentTable,
     FrobeniusClosureReport,
     IdealSpec,
     MatrixTooLarge,

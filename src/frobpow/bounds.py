@@ -15,7 +15,7 @@ strongly_semistable flag, and every report records which.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -140,24 +140,6 @@ def regularity_bound_constants(degrees, dim_ring, ring):
     return c1, c0
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """All closed-form thresholds for one ring/ideal pair, with per-field
-    formula provenance and the assumption flags each formula consumed."""
-
-    nu: Fraction
-    nu_provenance: str
-    assumptions: tuple
-    smith: int
-    parameter: int
-    inclusion_thresholds: dict  # q -> smallest degree guaranteed inside I^[q]
-    frobenius_closure_threshold: Fraction  # strict: degrees > nu are in I^F
-    c1: Fraction
-    c0: int
-    chardin_c1prime: int
-    citations: dict = field(default_factory=dict)
-
-
 def compute_nu(degrees, dim_ring, flags):
     """nu with provenance.  Parameter ideals (n = dim R) need no assumption:
     the top Koszul syzygy is invertible.  Otherwise the strongly_semistable
@@ -178,41 +160,4 @@ def compute_nu(degrees, dim_ring, flags):
     return (
         nu_strongly_semistable(degrees, dim_ring),
         "strongly semistable Koszul top syzygy (user-asserted flag)",
-    )
-
-
-def compute_bound_report(ring, degrees, q_list):
-    """Assemble the full BoundReport for generator degrees over ``ring``."""
-    degrees = tuple(degrees)
-    dim_ring = ring.dim
-    nu, provenance = compute_nu(degrees, dim_ring, ring.flags)
-    a = ring.a_invariant()
-    c1, c0 = regularity_bound_constants(degrees, dim_ring, ring)
-    thresholds = {q: inclusion_threshold(nu, a, q) for q in q_list}
-    citations = {
-        "nu": "nu = (dim R - 1) * (d_1 + ... + d_n) / (n - 1); " + provenance,
-        "smith": "sum of the dim R largest generator degrees",
-        "parameter": "d_1 + ... + d_n",
-        "inclusion_thresholds": "smallest m with m > q*nu + a, a the a-invariant",
-        "frobenius_closure_threshold": "degrees strictly above nu lie in the "
-        "Frobenius closure (strict inequality required)",
-        "c1": "max(d_i; j * (d_1+...+d_n)/(n-1), j = 1..dim R - 1)",
-        "c0": "max(reg(R), a-invariant)",
-        "chardin_c1prime": "max Koszul resolution shift degree: sum of the "
-        "min(dim R, n) largest degrees",
-        "note": "Koszul complex used throughout; a minimal resolution may "
-        "give a sharper nu",
-    }
-    return BoundReport(
-        nu=nu,
-        nu_provenance=provenance,
-        assumptions=tuple(sorted(ring.flags)),
-        smith=smith_bound(degrees, dim_ring),
-        parameter=parameter_bound(degrees),
-        inclusion_thresholds=thresholds,
-        frobenius_closure_threshold=nu,
-        c1=c1,
-        c0=c0,
-        chardin_c1prime=chardin_constant(degrees, dim_ring),
-        citations=citations,
     )

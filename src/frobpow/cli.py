@@ -257,22 +257,40 @@ def _q_list(p, emax):
 
 def _cmd_bounds(pf, args):
     ring = pf.ring
-    report = bounds_mod.compute_bound_report(
-        ring, pf.ideal.degrees, _q_list(ring.p, args.emax)
-    )
-    payload = {
-        "nu": report.nu,
-        "nu_provenance": report.nu_provenance,
-        "smith_bound": report.smith,
-        "parameter_bound": report.parameter,
-        "inclusion_threshold": report.inclusion_thresholds,
-        "frobenius_closure_threshold": report.frobenius_closure_threshold,
-        "C1": report.c1,
-        "C0": report.c0,
-        "C1prime": report.chardin_c1prime,
-        "citations": report.citations,
+    degrees = pf.ideal.degrees
+    nu, provenance = bounds_mod.compute_nu(degrees, ring.dim, ring.flags)
+    a = ring.a_invariant()
+    c1, c0 = bounds_mod.regularity_bound_constants(degrees, ring.dim, ring)
+    thresholds = {
+        q: bounds_mod.inclusion_threshold(nu, a, q) for q in _q_list(ring.p, args.emax)
     }
-    return Report("bounds", payload, report.assumptions, {})
+    payload = {
+        "nu": nu,
+        "nu_provenance": provenance,
+        "smith_bound": bounds_mod.smith_bound(degrees, ring.dim),
+        "parameter_bound": bounds_mod.parameter_bound(degrees),
+        "inclusion_threshold": thresholds,
+        "frobenius_closure_threshold": nu,
+        "C1": c1,
+        "C0": c0,
+        "C1prime": bounds_mod.chardin_constant(degrees, ring.dim),
+        "citations": {
+            "nu": "nu = (dim R - 1) * (d_1 + ... + d_n) / (n - 1); " + provenance,
+            "smith": "sum of the dim R largest generator degrees",
+            "parameter": "d_1 + ... + d_n",
+            "inclusion_thresholds": "smallest m with m > q*nu + a, a the "
+            "a-invariant",
+            "frobenius_closure_threshold": "degrees strictly above nu lie in "
+            "the Frobenius closure (strict inequality required)",
+            "c1": "max(d_i; j * (d_1+...+d_n)/(n-1), j = 1..dim R - 1)",
+            "c0": "max(reg(R), a-invariant)",
+            "chardin_c1prime": "max Koszul resolution shift degree: sum of the "
+            "min(dim R, n) largest degrees",
+            "note": "Koszul complex used throughout; a minimal resolution may "
+            "give a sharper nu",
+        },
+    }
+    return Report("bounds", payload, tuple(sorted(ring.flags)), {})
 
 
 def _cmd_koszul(pf, args):
@@ -324,7 +342,7 @@ def _cmd_kq(pf, args):
     ring = pf.ring
     nu, provenance = _nu_for(pf)
     table = containment_table(
-        _engine(pf, args), range(1, args.emax + 1), nu=nu, cap=args.cap or None
+        _engine(pf, args), range(1, args.emax + 1), nu=nu, cap=args.cap
     )
     payload = {
         "nu": nu,
@@ -336,7 +354,7 @@ def _cmd_kq(pf, args):
                 "k_empirical": r.k_empirical,
                 "k_threshold": r.k_threshold,
                 "tight": r.tight,
-                **({"cap_exceeded": r.cap_exceeded} if r.cap_exceeded else {}),
+                **({} if r.cap_exceeded is None else {"cap_exceeded": r.cap_exceeded}),
             }
             for r in table
         ],

@@ -8,7 +8,8 @@ the map
 
 Rows are the standard monomials of R_m, columns are (generator, source
 monomial) pairs in a fixed deterministic order, so membership certificates
-are reproducible.  Membership in a whole degree piece is a single rank test.
+are reproducible.  Membership in a whole degree piece is a Hilbert count, then
+at most one rank test.
 """
 
 from __future__ import annotations
@@ -87,14 +88,6 @@ class ContainmentRow:
 
 
 @dataclass(frozen=True)
-class ContainmentTable:
-    rows: tuple
-
-    def __iter__(self):
-        return iter(self.rows)
-
-
-@dataclass(frozen=True)
 class ClosureRow:
     e: int
     q: int
@@ -121,6 +114,11 @@ class MembershipEngine:
     """Membership/containment machinery for one (ring, ideal) pair; caches
     normal forms of generator Frobenius powers and graded bases.
 
+    check_matrix_size is the one place that sizes a membership matrix, by
+    Hilbert function, and _assemble builds exactly the shape it computes.
+    degree_containment answers from that shape alone, assembling nothing,
+    when the matrix has no rows or fewer columns than rows.
+
     With ``max_entries`` set, no membership matrix with more entries is ever
     assembled: operations raise MatrixTooLarge instead.  containment_table,
     tight_closure_witness_test and frobenius_closure_test check every matrix
@@ -145,55 +143,39 @@ class MembershipEngine:
 
     # -- matrix assembly ---------------------------------------------------
 
-    def _columns(self, q, m):
-        """Yield ((generator index, source monomial), coord dict) pairs for
-        the degree-m piece of the map onto I^[q]."""
-        ring = self.ring
-        p = ring.p
-        for i, d in enumerate(self.ideal.degrees):
-            src_deg = m - q * d
-            if src_deg < 0:
-                continue
-            gq = self._generator_power(i, q)
-            if gq.is_zero():
-                continue
-            for mono in ring.graded_basis(src_deg).monomials:
-                coords = {}
-                for mt, ct in gq.terms.items():
-                    prod = monomial_mul(mono, mt)
-                    for mr, cr in ring.monomial_normal_form(prod).items():
-                        v = (coords.get(mr, 0) + ct * cr) % p
-                        if v:
-                            coords[mr] = v
-                        else:
-                            coords.pop(mr, None)
-                yield (i, mono), coords
-
     def check_matrix_size(self, q, m):
-        """Raise MatrixTooLarge if the degree-m membership matrix for q has
-        more than max_entries entries; sized by Hilbert function alone."""
-        if self.max_entries is None:
-            return
+        """Shape (rows, cols) of the degree-m membership matrix for q, by
+        Hilbert function alone; raises MatrixTooLarge if it has more than
+        max_entries entries."""
         rows = self.ring.hilbert_dim(m)
         cols = sum(self.ring.hilbert_dim(m - q * d) for d in self.ideal.degrees)
-        if rows * cols > self.max_entries:
+        if self.max_entries is not None and rows * cols > self.max_entries:
             raise MatrixTooLarge(q, m, rows, cols, self.max_entries)
+        return rows, cols
 
     def _assemble(self, q, m):
-        target = self.ring.graded_basis(m)
-        index = target.index
+        """Rows: the standard monomials of R_m; columns: (generator index,
+        source monomial) pairs, one per standard monomial of R_{m - q*d_i}.
+        A generator power that is zero in R gives zero columns, so the matrix
+        has exactly the shape check_matrix_size computes."""
+        ring = self.ring
+        target = ring.graded_basis(m)
         col_meta = []
         rows, cols, vals = [], [], []
-        for j, (meta, coords) in enumerate(self._columns(q, m)):
-            col_meta.append(meta)
-            for mono, c in coords.items():
-                rows.append(index[mono])
-                cols.append(j)
-                vals.append(c)
-        A = np.zeros(
-            (len(target), len(col_meta)), dtype=linalg._storage_dtype(self.ring.p)
-        )
-        A[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = vals
+        for i, d in enumerate(self.ideal.degrees):
+            if m < q * d:
+                continue
+            gq = self._generator_power(i, q).terms.items()
+            for mono in ring.graded_basis(m - q * d).monomials:
+                j = len(col_meta)
+                col_meta.append((i, mono))
+                coords = ring.reduce((monomial_mul(mono, mt), ct) for mt, ct in gq)
+                for mr, c in coords.items():
+                    rows.append(target.index[mr])
+                    cols.append(j)
+                    vals.append(c)
+        shape = (len(target), len(col_meta))
+        A = linalg.from_triplets(shape, rows, cols, vals, ring.p)
         return target, col_meta, A
 
     # -- operations --------------------------------------------------------
@@ -204,7 +186,8 @@ class MembershipEngine:
         check_p_power(q, self.ring.p)
         if not h.is_homogeneous():
             raise ValueError("element must be homogeneous")
-        self.check_matrix_size(q, h.degree())
+        m = h.degree()
+        self.check_matrix_size(q, m)
         ring = self.ring
         hn = ring.normal_form(h)
         if hn.is_zero():
@@ -212,7 +195,6 @@ class MembershipEngine:
                 Polynomial.zero(ring.p, ring.num_vars) for _ in self.ideal.generators
             )
             return MembershipCertificate(True, h, q, zero)
-        m = hn.degree()
         target, col_meta, A = self._assemble(q, m)
         b = np.zeros(len(target), dtype=np.int64)
         for mono, c in hn.terms.items():
@@ -243,18 +225,19 @@ class MembershipEngine:
             )
 
     def degree_containment(self, q, k):
-        """True iff R_k is contained in I^[q] (rank test on one matrix)."""
+        """True iff R_k is contained in I^[q]: decided by the Hilbert shape
+        of the degree-k matrix when it has no rows or fewer columns than
+        rows, else by one rank test."""
         check_p_power(q, self.ring.p)
         if k < 0:
             raise ValueError("degree must be >= 0")
-        self.check_matrix_size(q, k)
-        dim = self.ring.hilbert_dim(k)
-        if dim == 0:
+        rows, cols = self.check_matrix_size(q, k)
+        if rows == 0:
             return True
-        _, _, A = self._assemble(q, k)
-        if A.shape[1] < dim:
+        if cols < rows:
             return False
-        return linalg.rank_mod(A, self.ring.p) == dim
+        _, _, A = self._assemble(q, k)
+        return linalg.rank_mod(A, self.ring.p) == rows
 
     def default_cap(self, q, nu_hint=None):
         """Search cap for the minimal containment degree: predicted threshold
@@ -302,7 +285,8 @@ class MembershipEngine:
 
 
 def containment_table(engine, e_list, nu=None, cap=None):
-    """k_empirical(q) vs the theoretical threshold across q = p^e."""
+    """k_empirical(q) vs the theoretical threshold across q = p^e, as a tuple
+    of ContainmentRow."""
     qs = [(e, engine.ring.p**e) for e in e_list]
     for _, q in qs:
         engine.check_matrix_size(
@@ -319,7 +303,7 @@ def containment_table(engine, e_list, nu=None, cap=None):
             continue
         tight = (k_emp == k_thy) if k_thy is not None else None
         rows.append(ContainmentRow(e, q, k_emp, k_thy, tight))
-    return ContainmentTable(tuple(rows))
+    return tuple(rows)
 
 
 def tight_closure_witness_test(engine, f, c, e_range, nu=None):

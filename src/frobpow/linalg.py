@@ -35,6 +35,14 @@ def _storage_dtype(p):
     return np.int32 if p <= 32749 else np.int64
 
 
+def from_triplets(shape, rows, cols, vals, p):
+    """A zero array of the given shape, in the storage dtype for p, with
+    vals[t] at (rows[t], cols[t]) for every t."""
+    A = np.zeros(shape, dtype=_storage_dtype(p))
+    A[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = vals
+    return A
+
+
 def _matmul_mod(A, B, p):
     """A @ B for 2-D integer arrays with entries in [0, p), p < 2**32 and inner
     dimension k < 2**14, as an unreduced array congruent to the product mod

@@ -164,7 +164,6 @@ class RingPresentation:
             return hit
         gb = self.groebner_basis()
         leads = list(zip(gb.leading_monomials, gb.generators))
-        p = self.p
         stack = [mono]
         while stack:
             cur = stack[-1]
@@ -182,27 +181,33 @@ class RingPresentation:
                 continue
             lm, g = reducer
             shift = tuple(b - a for a, b in zip(lm, cur))
-            tail = [
-                (tuple(x + y for x, y in zip(m2, shift)), c2)
+            # cur = x^shift * lm(g) and g is monic: in R, cur is the sum of neg_tail
+            neg_tail = [
+                (tuple(x + y for x, y in zip(m2, shift)), -c2)
                 for m2, c2 in g.terms.items()
                 if m2 != lm
             ]
-            missing = [m2 for m2, _ in tail if m2 not in cache]
+            missing = [m2 for m2, _ in neg_tail if m2 not in cache]
             if missing:
                 stack.extend(missing)
                 continue
-            # cur = x^shift * lm(g); g monic, so cur == -sum tail in R
-            acc = {}
-            for m2, c2 in tail:
-                for mr, cr in cache[m2].items():
-                    v = (acc.get(mr, 0) - c2 * cr) % p
-                    if v:
-                        acc[mr] = v
-                    else:
-                        acc.pop(mr, None)
-            cache[cur] = acc
+            cache[cur] = self.reduce(neg_tail)
             stack.pop()
         return cache[mono]
+
+    def reduce(self, terms):
+        """Normal form of sum c * mono over the (mono, c) pairs in terms, as a
+        dict monomial -> nonzero coefficient mod p."""
+        p = self.p
+        acc = {}
+        for mono, c in terms:
+            for mr, cr in self.monomial_normal_form(mono).items():
+                v = (acc.get(mr, 0) + c * cr) % p
+                if v:
+                    acc[mr] = v
+                else:
+                    acc.pop(mr, None)
+        return acc
 
     def normal_form(self, f):
         """Normal form of a polynomial modulo the relations."""
@@ -210,16 +215,7 @@ class RingPresentation:
             raise ValueError("polynomial not defined over this ring")
         if not self.relations:
             return f
-        p = self.p
-        acc = {}
-        for mono, c in f.terms.items():
-            for mr, cr in self.monomial_normal_form(mono).items():
-                v = (acc.get(mr, 0) + c * cr) % p
-                if v:
-                    acc[mr] = v
-                else:
-                    acc.pop(mr, None)
-        return Polynomial(p, self.num_vars, acc)
+        return Polynomial(self.p, self.num_vars, self.reduce(f.terms.items()))
 
     # -- convenience -------------------------------------------------------
 

@@ -140,6 +140,17 @@ def test_kq_command_parameter_case(tmp_path, capsys):
     assert all(r["tight"] for r in rows)
 
 
+def test_kq_cap_zero_is_honoured(fermat_cubic_file, capsys):
+    # an explicit cap of 0 is a cap like any other, not the default one
+    for cap in (0, 5):
+        code, doc = run_json(
+            capsys, ["kq", fermat_cubic_file, "--emax", "1", "--cap", str(cap)]
+        )
+        assert code == 0
+        (row,) = doc["payload"]["rows"]
+        assert row["k_empirical"] is None and row["cap_exceeded"] == cap
+
+
 def test_kq_csv_output(tmp_path, capsys):
     path = write(tmp_path, PARAM_FPB)
     code = run_command(["kq", path, "--emax", "1", "--format", "csv"])

@@ -175,7 +175,7 @@ def test_containment_table_fermat_cubic(cubic_squares):
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)
     table = containment_table(eng, [1], nu=3)
-    (row,) = table.rows
+    (row,) = table
     assert (row.e, row.q) == (1, 7)
     assert row.k_empirical == 22 and row.k_threshold == 22 and row.tight
     assert row.cap_exceeded is None
@@ -185,7 +185,7 @@ def test_containment_table_reports_cap_overflow():
     ring = poly_ring(3)
     eng = engine_for(ring, ["x^2"])
     table = containment_table(eng, [1], cap=12)
-    (row,) = table.rows
+    (row,) = table
     assert row.k_empirical is None and row.cap_exceeded == 12
 
 
@@ -318,3 +318,34 @@ def test_size_guard_passes_pieces_within_the_cap(cubic_squares):
     eng = MembershipEngine(ring, ideal, max_entries=66 * 72)
     assert eng.membership(7, ring.parse("x^8*y^8*z^6")).member
     assert eng.degree_containment(7, 22)
+
+
+# -- one sizing: the Hilbert shape is the assembled shape -------------------
+
+def test_deficit_degree_is_decided_before_assembly(cubic_squares, no_assembly):
+    ring, ideal = cubic_squares
+    eng = MembershipEngine(ring, ideal)
+    # dim R_15 = 45 rows, but only 3 * dim R_1 = 9 columns: no rank test needed
+    assert eng.check_matrix_size(7, 15) == (45, 9)
+    assert eng.degree_containment(7, 15) is False
+
+
+def test_zero_generator_power_gives_zero_columns():
+    # x^5 = 0 in F_5[x,y]/(x^2): its columns are zero, not left out
+    ring = RingPresentation(5, XY, [poly_parse("x^2", XY, 5)])
+    eng = engine_for(ring, ["x", "y"])
+    assert eng._assemble(5, 7)[2].shape == eng.check_matrix_size(5, 7) == (2, 4)
+    h = ring.parse("x*y^6")
+    cert = eng.membership(5, h)
+    assert cert.member
+    hx, hy = cert.coefficients
+    assert hx.is_zero() and hy == ring.parse("x*y")
+    total = hx * ring.parse("x^5") + hy * ring.parse("y^5")
+    assert ring.normal_form(h - total).is_zero()
+
+
+def test_assembled_shape_is_the_hilbert_shape(cubic_squares):
+    ring, ideal = cubic_squares
+    eng = MembershipEngine(ring, ideal)
+    for q, m in ((1, 0), (1, 1), (1, 5), (7, 13), (7, 14), (7, 22)):
+        assert eng._assemble(q, m)[2].shape == eng.check_matrix_size(q, m)

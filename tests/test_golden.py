@@ -1,0 +1,63 @@
+"""Byte-for-byte replay of recorded ``--no-timings`` reports.
+
+Each case runs one CLI command on ``tests/golden/problem.fpb`` (the problem
+file of the README) and compares its stdout with the recording
+``tests/golden/<name>``.  Reports made with ``--no-timings`` are meant to stay
+byte-identical across refactors, so a failure here is an output change.
+Rewrite the recordings only when such a change is intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from frobpow.cli import run_command
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+PROBLEM = GOLDEN / "problem.fpb"
+
+# the six README examples, then kq as csv and a membership that fails
+_README = {
+    "bounds": ["bounds", "--emax", "2"],
+    "koszul": ["koszul"],
+    "kq": ["kq", "--emax", "2"],
+    "member": ["member", "--q", "7", "--elem", "x^8*y^8*z^6"],
+    "tight": ["tight", "--emax", "2", "--f", "z^2", "--c", "x"],
+    "frobenius": ["frobenius", "--emax", "2", "--f", "z^2"],
+}
+CASES = {
+    f"{name}.{ext}": argv + ["--format", fmt]
+    for name, argv in _README.items()
+    for fmt, ext in (("text", "txt"), ("json", "json"))
+}
+CASES["kq.csv"] = _README["kq"] + ["--format", "csv"]
+CASES["member_non_member.json"] = [
+    "member", "--q", "7", "--elem", "x^6*y^7*z^7", "--format", "json"
+]
+
+
+def _argv(case):
+    argv = CASES[case]
+    return argv[:1] + [str(PROBLEM)] + argv[1:] + ["--no-timings"]
+
+
+def _stdout(case):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run_command(_argv(case))
+    assert code == 0, case
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case):
+    assert _stdout(case) == (GOLDEN / case).read_bytes()
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        (GOLDEN / case).write_bytes(_stdout(case))
