@@ -437,10 +437,20 @@ def _cmd_frobenius(pf, args):
     return Report("frobenius", payload, tuple(sorted(pf.ring.flags)), {})
 
 
+def _non_negative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 # argparse keyword arguments of each command-specific flag
 _FLAGS = {
-    "--emax": dict(type=int, default=2),
-    "--cap": dict(type=int),
+    "--emax": dict(type=_non_negative_int, default=2),
+    "--cap": dict(type=_non_negative_int),
     "--q": dict(type=int, required=True),
     "--elem": dict(required=True),
     "--f": dict(required=True),

@@ -9,7 +9,8 @@ the map
 Rows are the standard monomials of R_m, columns are (generator, source
 monomial) pairs in a fixed deterministic order, so membership certificates
 are reproducible.  Membership in a whole degree piece is a Hilbert count, then
-at most one rank test.
+at most one rank test; the search for the least such degree k(q) starts above
+the last degree whose Hilbert count alone rules containment out.
 """
 
 from __future__ import annotations
@@ -116,13 +117,14 @@ class MembershipEngine:
 
     check_matrix_size is the one place that sizes a membership matrix, by
     Hilbert function, and _assemble builds exactly the shape it computes.
-    degree_containment answers from that shape alone, assembling nothing,
-    when the matrix has no rows or fewer columns than rows.
+    _shape_verdict answers containment from that shape alone, assembling
+    nothing, when the matrix has no rows or fewer columns than rows.
 
     With ``max_entries`` set, no membership matrix with more entries is ever
-    assembled: operations raise MatrixTooLarge instead.  containment_table,
-    tight_closure_witness_test and frobenius_closure_test check every matrix
-    they plan, up to the last q, before assembling the first.
+    assembled: operations raise MatrixTooLarge instead.  min_containment_degree
+    checks its cap's matrix first; containment_table,
+    tight_closure_witness_test and frobenius_closure_test check every query
+    they plan, up to the last q, before running the first.
     """
 
     def __init__(self, ring, ideal, max_entries=None):
@@ -224,20 +226,26 @@ class MembershipEngine:
                 "polynomial arithmetic disagree"
             )
 
-    def degree_containment(self, q, k):
-        """True iff R_k is contained in I^[q]: decided by the Hilbert shape
-        of the degree-k matrix when it has no rows or fewer columns than
-        rows, else by one rank test."""
-        check_p_power(q, self.ring.p)
-        if k < 0:
-            raise ValueError("degree must be >= 0")
+    def _shape_verdict(self, q, k):
+        """Whether R_k lies in I^[q] when the Hilbert shape of the degree-k
+        matrix decides it: True with no rows, False with fewer columns than
+        rows; None when it takes a rank test."""
         rows, cols = self.check_matrix_size(q, k)
         if rows == 0:
             return True
-        if cols < rows:
-            return False
-        _, _, A = self._assemble(q, k)
-        return linalg.rank_mod(A, self.ring.p) == rows
+        return False if cols < rows else None
+
+    def degree_containment(self, q, k):
+        """True iff R_k is contained in I^[q]: decided by the Hilbert shape
+        of the degree-k matrix when it can be, else by one rank test."""
+        check_p_power(q, self.ring.p)
+        if k < 0:
+            raise ValueError("degree must be >= 0")
+        verdict = self._shape_verdict(q, k)
+        if verdict is None:
+            target, _, A = self._assemble(q, k)
+            verdict = linalg.rank_mod(A, self.ring.p) == len(target)
+        return verdict
 
     def default_cap(self, q, nu_hint=None):
         """Search cap for the minimal containment degree: predicted threshold
@@ -248,56 +256,53 @@ class MembershipEngine:
         return q * sum(self.ideal.degrees) + self.ring.num_vars
 
     def min_containment_degree(self, q, cap=None, nu_hint=None):
-        """Minimal k with R_k (hence R_{>=k}) inside I^[q].
+        """Minimal k <= cap with R_k (hence R_{>=k}) inside I^[q].
 
-        Containment is monotone in k because R is standard-graded
-        (R_{k+1} = R_1 * R_k), so an ascending scan with growing stride
-        followed by a bisection back is valid.
-        """
+        Containment is monotone in k (R_{k+1} = R_1 * R_k), so no k up to
+        lo, the last degree <= cap with fewer columns than rows (found by
+        scanning down from the cap, sized first), needs a rank test; probes
+        gallop up from lo in doubling steps, then bisect (lo, hi)."""
         check_p_power(q, self.ring.p)
         if cap is None:
             cap = self.default_cap(q, nu_hint)
-        start = q * min(self.ideal.degrees)
-        if start > cap:
-            raise NotFoundWithinCap(q, cap)
-        last_false = start - 1
-        first_true = None
-        k = start
-        step = 1
-        while True:
+        lo = cap
+        while lo >= 0 and self._shape_verdict(q, lo) is not False:
+            lo -= 1
+        base, hi, step = lo, cap + 1, 1
+        while hi - lo > 1:
+            k = min(base + step, (lo + hi) // 2)
             if self.degree_containment(q, k):
-                first_true = k
-                break
-            last_false = k
-            if k >= cap:
-                break
-            k = min(k + step, cap)
-            step *= 2
-        if first_true is None:
-            raise NotFoundWithinCap(q, cap)
-        while first_true - last_false > 1:
-            mid = (first_true + last_false) // 2
-            if self.degree_containment(q, mid):
-                first_true = mid
+                hi = k
             else:
-                last_false = mid
-        return first_true
+                lo, step = k, 2 * step
+        if hi > cap:
+            raise NotFoundWithinCap(q, cap)
+        return hi
+
+
+def _checked_plan(engine, e_list, query, degree=Polynomial.degree):
+    """The queries (e, q, query(q)) for q = p^e, returned only once the
+    matrix of each, in degree degree(query(q)), has passed the size guard."""
+    p = engine.ring.p
+    plan = [(e, p**e, query(p**e)) for e in e_list]
+    for _, q, x in plan:
+        engine.check_matrix_size(q, degree(x))
+    return plan
 
 
 def containment_table(engine, e_list, nu=None, cap=None):
     """k_empirical(q) vs the theoretical threshold across q = p^e, as a tuple
     of ContainmentRow."""
-    qs = [(e, engine.ring.p**e) for e in e_list]
-    for _, q in qs:
-        engine.check_matrix_size(
-            q, cap if cap is not None else engine.default_cap(q, nu)
-        )
+    plan = _checked_plan(
+        engine, e_list, lambda q: engine.default_cap(q, nu) if cap is None else cap,
+        degree=lambda k: k,
+    )
     a = engine.ring.a_invariant() if nu is not None else None
     rows = []
-    for e, q in qs:
+    for e, q, k_cap in plan:
         k_thy = inclusion_threshold(Fraction(nu), a, q) if nu is not None else None
         try:
-            k_emp = engine.min_containment_degree(q, cap=cap, nu_hint=nu)
+            k_emp = engine.min_containment_degree(q, cap=k_cap)
         except NotFoundWithinCap as exc:
             rows.append(ContainmentRow(e, q, None, k_thy, None, exc.cap))
             continue
@@ -313,13 +318,8 @@ def tight_closure_witness_test(engine, f, c, e_range, nu=None):
         raise ValueError("witness multiplier c must be nonzero")
     if not f.is_homogeneous() or not c.is_homogeneous():
         raise ValueError("f and c must be homogeneous")
-    qs = [(e, engine.ring.p**e) for e in e_range]
-    for _, q in qs:
-        engine.check_matrix_size(q, c.degree() + q * f.degree())
-    rows = []
-    for e, q in qs:
-        cert = engine.membership(q, c * f.frobenius_power(q))
-        rows.append(ClosureRow(e, q, cert.member))
+    plan = _checked_plan(engine, e_range, lambda q: c * f.frobenius_power(q))
+    rows = [ClosureRow(e, q, engine.membership(q, h).member) for e, q, h in plan]
     notes = [EVIDENCE_NOTE]
     if nu is not None:
         a = engine.ring.a_invariant()
@@ -340,18 +340,13 @@ def frobenius_closure_test(engine, f, e_max, nu=None):
     """
     if not f.is_homogeneous():
         raise ValueError("f must be homogeneous")
-    p = engine.ring.p
-    qs = [(e, p**e) for e in range(e_max + 1)]
-    for _, q in qs:
-        engine.check_matrix_size(q, q * f.degree())
+    plan = _checked_plan(engine, range(e_max + 1), f.frobenius_power)
     rows = []
-    found = None
-    for e, q in qs:
-        member = engine.membership(q, f.frobenius_power(q)).member
-        rows.append(ClosureRow(e, q, member))
-        if member:
-            found = e
+    for e, q, h in plan:
+        rows.append(ClosureRow(e, q, engine.membership(q, h).member))
+        if rows[-1].member:
             break
+    found = rows[-1].e if rows and rows[-1].member else None
     predicted = None
     if nu is not None and not f.is_zero():
         excess = Fraction(f.degree()) - Fraction(nu)
@@ -359,6 +354,6 @@ def frobenius_closure_test(engine, f, e_max, nu=None):
             a = engine.ring.a_invariant()
             q = 1
             while not Fraction(q) * excess > a:
-                q *= p
+                q *= engine.ring.p
             predicted = q
     return FrobeniusClosureReport(f, tuple(rows), found, predicted)

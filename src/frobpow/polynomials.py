@@ -11,8 +11,6 @@ from __future__ import annotations
 import functools
 import re
 
-Monomial = tuple  # tuple[int, ...], one exponent per variable
-
 
 class PolyError(ValueError):
     pass
@@ -380,13 +378,13 @@ def poly_parse(text, var_names, p):
     return Polynomial(p, n, terms)
 
 
-def poly_format(f, var_names, order=None):
-    """Deterministic string form; round-trips through poly_parse."""
+def poly_format(f, var_names):
+    """Deterministic string form, terms in descending grevlex order;
+    round-trips through poly_parse."""
     if f.is_zero():
         return "0"
-    order = order or MonomialOrder("grevlex", f.num_vars)
     parts = []
-    for mono in order.sorted_desc(f.terms):
+    for mono in MonomialOrder("grevlex", f.num_vars).sorted_desc(f.terms):
         c = f.terms[mono]
         factors = []
         for name, e in zip(var_names, mono):

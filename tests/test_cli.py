@@ -222,6 +222,20 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert run_command(["bounds", str(tmp_path / "missing.fpb")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kq", "--emax", "1", "--cap", "-3"],
+    ["kq", "--emax", "-1"],
+    ["bounds", "--emax", "-1"],
+    ["tight", "--emax", "-1", "--f", "z^2", "--c", "x"],
+    ["frobenius", "--emax", "-1", "--f", "z^2"],
+])
+def test_negative_cap_or_emax_is_a_usage_error(fermat_cubic_file, capsys, argv):
+    assert run_command([argv[0], fermat_cubic_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected an integer >= 0" in captured.err
+
+
 def test_member_requires_q_and_elem(tmp_path, capsys):
     path = write(tmp_path, PARAM_FPB)
     assert run_command(["member", path]) == 2

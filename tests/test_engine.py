@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from frobpow import linalg
 from frobpow.engine import (
     IdealSpec,
     MatrixTooLarge,
@@ -161,6 +162,78 @@ def test_cap_too_small_raises(cubic_squares):
         eng.min_containment_degree(7, cap=20)
 
 
+def _oracle_k(eng, q, cap):
+    # ascending scan of every degree up to the cap: the first containing one
+    return next((k for k in range(cap + 1) if eng.degree_containment(q, k)), None)
+
+
+def _assert_search_matches_oracle(eng, q, cap):
+    expected = _oracle_k(eng, q, cap)
+    if expected is None:
+        with pytest.raises(NotFoundWithinCap):
+            eng.min_containment_degree(q, cap=cap)
+    else:
+        assert eng.min_containment_degree(q, cap=cap) == expected
+    return expected
+
+
+def _random_primary_monomial_ideal(ring, rng, max_exp):
+    # a pure power of every variable keeps the ideal R_+-primary
+    n = ring.num_vars
+    gens = [ring.parse(f"{v}^{rng.randint(1, max_exp)}") for v in ring.var_names]
+    for _ in range(rng.randint(0, 2)):
+        mono = [0] * n
+        for _ in range(rng.randint(1, max_exp)):
+            mono[rng.randrange(n)] += 1
+        gens.append(Polynomial(ring.p, n, {tuple(mono): 1}))
+    return MembershipEngine(ring, IdealSpec(tuple(gens)))
+
+
+XYZ = ("x", "y", "z")
+# (variables, relation, largest pure-power exponent, primes); q = 9 in
+# F_3[x,y,z] would put k(q) in the forties and take seconds per ideal
+ORACLE_RINGS = (
+    (XY, None, 3, (2, 3)),
+    (XYZ, None, 2, (2,)),
+    (XYZ, "x^3+y^3+z^3", 2, (2, 3)),
+    (XYZ, "x^2+y*z", 2, (2, 3)),
+)
+
+
+@pytest.mark.parametrize("names, relation, max_exp, primes", ORACLE_RINGS)
+def test_min_containment_degree_matches_ascending_scan(
+    names, relation, max_exp, primes
+):
+    rng = random.Random(len(names) * 7 + max_exp + len(relation or ""))
+    for p in primes:
+        rels = [poly_parse(relation, names, p)] if relation else []
+        ring = RingPresentation(p, names, rels)
+        for _ in range(3):
+            eng = _random_primary_monomial_ideal(ring, rng, max_exp)
+            for q in (1, p, p * p):
+                k = _assert_search_matches_oracle(eng, q, eng.default_cap(q))
+                if k is not None:
+                    _assert_search_matches_oracle(eng, q, k)  # exact cap
+                    _assert_search_matches_oracle(eng, q, k - 1)  # too small
+
+
+def test_search_starts_above_the_last_hilbert_deficit(cubic_squares, monkeypatch):
+    # degree 20 is the last one with fewer columns than rows, so k(7) = 22
+    # takes two rank tests (21 fails, 22 holds)
+    ring, ideal = cubic_squares
+    eng = MembershipEngine(ring, ideal)
+    calls = []
+    rank_mod = linalg.rank_mod
+
+    def counted(A, p, **kw):
+        calls.append(A.shape)
+        return rank_mod(A, p, **kw)
+
+    monkeypatch.setattr(linalg, "rank_mod", counted)
+    assert eng.min_containment_degree(7, nu_hint=3) == 22
+    assert len(calls) == 2
+
+
 def test_non_primary_ideal_never_contains():
     # (x^2) misses every power of y, so no degree works; cap stops the scan
     ring = poly_ring(3)
@@ -299,6 +372,13 @@ def test_size_guard_refuses_each_operation_before_assembly(
         )
     with pytest.raises(MatrixTooLarge):
         frobenius_closure_test(eng, ring.parse("x^3"), 1)
+
+
+def test_search_refuses_at_its_cap_before_assembly(cubic_squares, no_assembly):
+    ring, ideal = cubic_squares
+    eng = MembershipEngine(ring, ideal, max_entries=1000)
+    with pytest.raises(MatrixTooLarge, match="degree 30 for q=7"):
+        eng.min_containment_degree(7, cap=30)
 
 
 def test_size_guard_checks_every_piece_first():
