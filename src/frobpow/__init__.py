@@ -33,7 +33,6 @@ from .groebner import (
     standard_monomials,
 )
 from .polynomials import (
-    MonomialOrder,
     ParseError,
     PolyError,
     Polynomial,

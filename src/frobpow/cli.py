@@ -16,7 +16,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -28,13 +28,7 @@ from .engine import (
     frobenius_closure_test,
     tight_closure_witness_test,
 )
-from .polynomials import (
-    MonomialOrder,
-    PolyError,
-    check_prime,
-    poly_format,
-    poly_parse,
-)
+from .polynomials import _IDENT, PolyError, check_prime, poly_format, poly_parse
 from .rings import KNOWN_FLAGS, AssumptionMissing, RingPresentation
 
 MAX_MATRIX_ENTRIES = 4_000_000
@@ -48,7 +42,6 @@ class InputError(ValueError):
 class ProblemFile:
     ring: RingPresentation
     ideal: IdealSpec
-    options: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -66,7 +59,8 @@ _SECTIONS = ("ring", "ideal", "assumptions", "options")
 
 def parse_problem_file(text):
     """Parse the INI-like problem format (sections [ring], [ideal],
-    [assumptions], [options]) with per-line diagnostics."""
+    [assumptions], [options]) with per-line diagnostics.  [options] is
+    optional; its one key, order, accepts only grevlex."""
     data = {s: {} for s in _SECTIONS}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -84,7 +78,14 @@ def parse_problem_file(text):
         if "=" not in line:
             raise InputError(f"line {lineno} in [{section}]: expected 'key = value'")
         key, _, value = line.partition("=")
-        data[section][key.strip()] = (value.strip(), lineno)
+        key = key.strip()
+        if key in data[section]:
+            first = data[section][key][1]
+            raise InputError(
+                f"line {lineno} in [{section}]: duplicate key {key!r} "
+                f"(first set on line {first})"
+            )
+        data[section][key] = (value.strip(), lineno)
 
     def take(section, key, required=False):
         if key in data[section]:
@@ -109,11 +110,18 @@ def parse_problem_file(text):
         raise InputError(f"line {ln} in [ring]: no variables declared")
     if len(set(var_names)) != len(var_names):
         raise InputError(f"line {ln} in [ring]: duplicate variable names")
+    for name in var_names:
+        if not _IDENT.fullmatch(name):
+            raise InputError(
+                f"line {ln} in [ring]: variable name {name!r} is not an identifier"
+            )
 
     order_s, ln = take("options", "order")
-    order_kind = order_s or "grevlex"
-    if order_kind not in MonomialOrder.KINDS:
-        raise InputError(f"line {ln} in [options]: unknown order {order_kind!r}")
+    if order_s not in (None, "grevlex"):
+        raise InputError(
+            f"line {ln} in [options]: unknown order {order_s!r} "
+            "(only grevlex is supported)"
+        )
 
     flags_s, ln = take("assumptions", "flags")
     flags = tuple(flags_s.split()) if flags_s else ()
@@ -156,13 +164,10 @@ def parse_problem_file(text):
             raise InputError(f"line {ln} in [{section}]: unknown key {key!r}")
 
     try:
-        ring = RingPresentation(
-            p, var_names, relations, flags=flags, order_kind=order_kind
-        )
+        ring = RingPresentation(p, var_names, relations, flags=flags)
     except ValueError as exc:
         raise InputError(f"[ring]: {exc}")
-    ideal = IdealSpec(tuple(gens))
-    return ProblemFile(ring, ideal, options={"order": order_kind})
+    return ProblemFile(ring, IdealSpec(tuple(gens)))
 
 
 def format_problem_file(pf):
@@ -177,7 +182,6 @@ def format_problem_file(pf):
     lines.append(f"gens = {gens}")
     if ring.flags:
         lines += ["[assumptions]", f"flags = {' '.join(sorted(ring.flags))}"]
-    lines += ["[options]", f"order = {pf.options.get('order', 'grevlex')}"]
     return "\n".join(lines) + "\n"
 
 

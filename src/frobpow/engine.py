@@ -247,15 +247,15 @@ class MembershipEngine:
             verdict = linalg.rank_mod(A, self.ring.p) == len(target)
         return verdict
 
-    def default_cap(self, q, nu_hint=None):
+    def default_cap(self, q, nu=None):
         """Search cap for the minimal containment degree: predicted threshold
-        plus slack 8 when a nu hint is available, else q * sum(d_i) + N."""
-        if nu_hint is not None:
+        plus slack 8 when nu is known, else q * sum(d_i) + N."""
+        if nu is not None:
             a = self.ring.a_invariant()
-            return inclusion_threshold(Fraction(nu_hint), a, q) + 8
+            return inclusion_threshold(Fraction(nu), a, q) + 8
         return q * sum(self.ideal.degrees) + self.ring.num_vars
 
-    def min_containment_degree(self, q, cap=None, nu_hint=None):
+    def min_containment_degree(self, q, cap=None):
         """Minimal k <= cap with R_k (hence R_{>=k}) inside I^[q].
 
         Containment is monotone in k (R_{k+1} = R_1 * R_k), so no k up to
@@ -264,7 +264,7 @@ class MembershipEngine:
         gallop up from lo in doubling steps, then bisect (lo, hi)."""
         check_p_power(q, self.ring.p)
         if cap is None:
-            cap = self.default_cap(q, nu_hint)
+            cap = self.default_cap(q)
         lo = cap
         while lo >= 0 and self._shape_verdict(q, lo) is not False:
             lo -= 1

@@ -1,15 +1,16 @@
-"""Buchberger's algorithm, normal forms and standard-monomial enumeration.
+"""Buchberger's algorithm, normal forms and standard-monomial enumeration,
+all in grevlex, the package's one monomial order.
 
 Desk-scale inputs only: pair pruning uses just the coprime-lead criterion,
-pair selection is the normal strategy (smallest lcm in the monomial order,
-ties by index), and a degree cap guards against runaway computations.
+pair selection is the normal strategy (smallest lcm in grevlex, ties by
+index), and a degree cap guards against runaway computations.
 """
 
 from __future__ import annotations
 
 from .polynomials import (
-    MonomialOrder,
     Polynomial,
+    grevlex_key,
     monomial_degree,
     monomial_divides,
     monomial_lcm,
@@ -26,12 +27,10 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic generators, no leading monomial of one
     dividing any monomial of another."""
 
-    def __init__(self, generators, order):
+    def __init__(self, generators, num_vars):
         self.generators = list(generators)
-        self.order = order
-        self.leading_monomials = tuple(
-            g.leading_monomial(order) for g in self.generators
-        )
+        self.num_vars = num_vars
+        self.leading_monomials = tuple(g.leading_monomial() for g in self.generators)
 
     def __iter__(self):
         return iter(self.generators)
@@ -40,27 +39,22 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def normal_form(f, gb, order=None):
-    """Remainder of f under multivariate division by gb.
+def normal_form(f, gb):
+    """Remainder of f under multivariate division by gb, a GroebnerBasis or
+    a plain list of polynomials.
 
     No monomial of the result is divisible by a leading monomial of gb; the
     map f -> normal_form(f, gb) is F_p-linear and idempotent.
     """
-    if isinstance(gb, GroebnerBasis):
-        gens, order = gb.generators, gb.order
-    else:
-        gens = list(gb)
-        if order is None:
-            raise ValueError("order required when gb is a plain list")
+    gens = list(gb)
     if not gens:
         return f
     p = f.p
-    leads = [(g.leading_monomial(order), g) for g in gens]
+    leads = [(g.leading_monomial(), g) for g in gens]
     work = dict(f.terms)
     remainder = {}
-    key = order.key
     while work:
-        mono = max(work, key=key)
+        mono = max(work, key=grevlex_key)
         c = work.pop(mono)
         for lm, g in leads:
             if monomial_divides(lm, mono):
@@ -81,10 +75,10 @@ def normal_form(f, gb, order=None):
     return Polynomial(f.p, f.num_vars, remainder)
 
 
-def s_polynomial(f, g, order):
+def s_polynomial(f, g):
     p = f.p
-    lmf = f.leading_monomial(order)
-    lmg = g.leading_monomial(order)
+    lmf = f.leading_monomial()
+    lmg = g.leading_monomial()
     lcm = monomial_lcm(lmf, lmg)
     cf = pow(f.terms[lmf], -1, p)
     cg = pow(g.terms[lmg], -1, p)
@@ -93,31 +87,31 @@ def s_polynomial(f, g, order):
     )
 
 
-def buchberger(gens, order, degree_cap=512):
+def buchberger(gens, degree_cap=512):
     """Reduced Groebner basis of the ideal generated by gens.
 
     Deterministic for a fixed input order.  Raises DegreeCapExceeded if any
     S-pair lcm degree exceeds ``degree_cap``.
     """
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
+    basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("degenerate input: all generators are zero")
-    p = basis[0].p
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
+    def lead_key(g):
+        return grevlex_key(g.leading_monomial())
+
     def pair_sort_key(pair):
         i, j = pair
-        lcm = monomial_lcm(
-            basis[i].leading_monomial(order), basis[j].leading_monomial(order)
-        )
-        return (order.key(lcm), i, j)
+        lcm = monomial_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
+        return (grevlex_key(lcm), i, j)
 
     while pairs:
         i, j = min(pairs, key=pair_sort_key)
         pairs.discard((i, j))
-        lmi = basis[i].leading_monomial(order)
-        lmj = basis[j].leading_monomial(order)
+        lmi = basis[i].leading_monomial()
+        lmj = basis[j].leading_monomial()
         lcm = monomial_lcm(lmi, lmj)
         if monomial_degree(lcm) > degree_cap:
             raise DegreeCapExceeded(
@@ -127,28 +121,26 @@ def buchberger(gens, order, degree_cap=512):
         # Buchberger's first criterion: coprime leading monomials
         if all(min(a, b) == 0 for a, b in zip(lmi, lmj)):
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if not r.is_zero():
-            basis.append(r.monic(order))
+            basis.append(r.monic())
             k = len(basis) - 1
             pairs.update((i2, k) for i2 in range(k))
 
     # minimalize: drop generators whose lead is divisible by a kept one's lead
     minimal = []
-    for g in sorted(basis, key=lambda g: order.key(g.leading_monomial(order))):
-        lm = g.leading_monomial(order)
-        if not any(
-            monomial_divides(h.leading_monomial(order), lm) for h in minimal
-        ):
+    for g in sorted(basis, key=lead_key):
+        lm = g.leading_monomial()
+        if not any(monomial_divides(h.leading_monomial(), lm) for h in minimal):
             minimal.append(g)
     # reduce tails against the rest
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others, order) if others else g
-        reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return GroebnerBasis(reduced, order)
+        r = normal_form(g, others)
+        reduced.append(r.monic())
+    reduced.sort(key=lead_key)
+    return GroebnerBasis(reduced, basis[0].num_vars)
 
 
 def monomials_of_degree(num_vars, m):
@@ -167,14 +159,14 @@ def monomials_of_degree(num_vars, m):
 
 def standard_monomials(gb, m):
     """Degree-m monomials not divisible by any leading monomial of gb,
-    sorted descending in the basis order; an F_p-basis of (R/ideal)_m.
+    sorted descending in grevlex; an F_p-basis of (R/ideal)_m.
 
     Exponents are chosen one variable at a time, and a prefix is dropped as
     soon as a leading monomial supported on the prefix's variables divides
     it; the variables after the last one any leading monomial involves take
     every monomial of the remaining degree at once.
     """
-    n = gb.order.num_vars
+    n = gb.num_vars
     leads = gb.leading_monomials
     lasts = [max((i for i, e in enumerate(lm) if e), default=0) for lm in leads]
     # prefix variables x_0..x_{split-1}; the tail keeps at least the last
@@ -203,4 +195,4 @@ def standard_monomials(gb, m):
             mono = prefix + tail
             if not any(monomial_divides(lm, mono) for lm in leads):
                 out.append(mono)
-    return gb.order.sorted_desc(out)
+    return sorted(out, key=grevlex_key, reverse=True)

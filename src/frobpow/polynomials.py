@@ -4,6 +4,11 @@ Monomials are exponent tuples; a polynomial is a dict mapping monomials to
 nonzero residues in [0, p).  All values are immutable after construction and
 every operation returns a fully normalized polynomial (coefficients reduced,
 zero terms dropped), so equality is structural.
+
+The one monomial order is grevlex (``grevlex_key``).  No degree bound, k(q)
+or membership verdict depends on the order; it fixes leading monomials, and
+with them which of the valid membership certificates is reported, and the
+order of terms in ``poly_format``.
 """
 
 from __future__ import annotations
@@ -80,41 +85,11 @@ def monomial_degree(m):
     return sum(m)
 
 
-class MonomialOrder:
-    """Graded or lexicographic total order on monomials, fixed variable order.
-
-    ``key`` returns a sort key; larger key = larger monomial, so the leading
-    monomial of a polynomial is the max under ``key``.
-    """
-
-    KINDS = ("grevlex", "grlex", "lex")
-
-    def __init__(self, kind="grevlex", num_vars=None):
-        if kind not in self.KINDS:
-            raise PolyError(f"unknown monomial order {kind!r}")
-        self.kind = kind
-        self.num_vars = num_vars
-
-    def key(self, mono):
-        if self.kind == "lex":
-            return mono
-        if self.kind == "grlex":
-            return (sum(mono), mono)
-        # grevlex: compare degree, then reverse-lex on negated reversed exponents
-        return (sum(mono), tuple(-e for e in reversed(mono)))
-
-    def sorted_desc(self, monomials):
-        return sorted(monomials, key=self.key, reverse=True)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.num_vars == other.num_vars
-        )
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r}, num_vars={self.num_vars})"
+def grevlex_key(mono):
+    """Sort key of the graded reverse-lexicographic order, the package's one
+    monomial order: larger key = larger monomial.  Compares total degree,
+    then the negated exponents from the last variable back."""
+    return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
 class Polynomial:
@@ -166,13 +141,14 @@ class Polynomial:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def leading_monomial(self, order):
+    def leading_monomial(self):
+        """Largest monomial in grevlex."""
         if not self.terms:
             raise PolyError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.terms, key=grevlex_key)
 
-    def leading_coefficient(self, order):
-        return self.terms[self.leading_monomial(order)]
+    def leading_coefficient(self):
+        return self.terms[self.leading_monomial()]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -218,8 +194,8 @@ class Polynomial:
             self.p, self.num_vars, {m: c * v for m, v in self.terms.items()}
         )
 
-    def monic(self, order):
-        inv = pow(self.leading_coefficient(order), -1, self.p)
+    def monic(self):
+        inv = pow(self.leading_coefficient(), -1, self.p)
         return self.scale(inv)
 
     def term_mul(self, mono, c=1):
@@ -384,7 +360,7 @@ def poly_format(f, var_names):
     if f.is_zero():
         return "0"
     parts = []
-    for mono in MonomialOrder("grevlex", f.num_vars).sorted_desc(f.terms):
+    for mono in sorted(f.terms, key=grevlex_key, reverse=True):
         c = f.terms[mono]
         factors = []
         for name, e in zip(var_names, mono):

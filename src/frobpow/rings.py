@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .groebner import GroebnerBasis, buchberger, standard_monomials
-from .polynomials import MonomialOrder, Polynomial, check_prime, poly_parse
+from .polynomials import Polynomial, check_prime, poly_parse
 
 KNOWN_FLAGS = frozenset(
     {"normal_domain", "cohen_macaulay", "omega_invertible", "smooth_proj",
@@ -49,7 +49,7 @@ class RingPresentation:
     """K[x_1..x_N]/(H_1..H_r) with char(K) = p, complete-intersection convention
     dim R = N - r."""
 
-    def __init__(self, p, var_names, relations=(), flags=(), order_kind="grevlex"):
+    def __init__(self, p, var_names, relations=(), flags=()):
         check_prime(p)
         self.p = p
         self.var_names = tuple(var_names)
@@ -69,7 +69,6 @@ class RingPresentation:
             raise ValueError("relation degrees must be >= 1")
         if len(self.relations) >= self.num_vars:
             raise ValueError("need dim R = N - r >= 1")
-        self.order = MonomialOrder(order_kind, self.num_vars)
         self._gb = None
         self._bases = {}
         self._nf_cache = {}
@@ -129,20 +128,21 @@ class RingPresentation:
     def groebner_basis(self):
         if self._gb is None:
             if self.relations:
-                self._gb = buchberger(list(self.relations), self.order)
+                self._gb = buchberger(list(self.relations))
             else:
-                self._gb = GroebnerBasis([], self.order)
+                self._gb = GroebnerBasis([], self.num_vars)
         return self._gb
 
     def graded_basis(self, m):
         """Standard monomials of degree m, with the index map used for matrix
-        columns/rows.  Hard-asserts agreement with hilbert_dim."""
+        columns/rows.  Raises ValueError unless their count is hilbert_dim(m),
+        as it is not when the relations are not a complete intersection."""
         basis = self._bases.get(m)
         if basis is None:
             monos = tuple(standard_monomials(self.groebner_basis(), m))
             expected = self.hilbert_dim(m)
             if len(monos) != expected:
-                raise AssertionError(
+                raise ValueError(
                     f"standard-monomial count {len(monos)} != Hilbert dimension "
                     f"{expected} in degree {m}: Groebner bug or non-CI input"
                 )

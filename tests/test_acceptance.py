@@ -67,7 +67,7 @@ def _table(name):
         rows = []
         for e in (1, 2, 3):
             q = p**e
-            k_emp = eng.min_containment_degree(q, nu_hint=2)
+            k_emp = eng.min_containment_degree(q, cap=eng.default_cap(q, 2))
             k_thy = inclusion_threshold(2, -2, q)
             rows.append((e, q, k_emp, k_thy, k_emp == k_thy))
         return eng, rows

@@ -41,7 +41,6 @@ def test_parse_fermat_cubic_problem():
     assert len(pf.ring.relations) == 1
     assert pf.ideal.degrees == (2, 2, 2)
     assert "strongly_semistable" in pf.ring.flags
-    assert pf.options["order"] == "grevlex"
 
 
 def test_parse_minimal_problem():
@@ -66,6 +65,15 @@ def test_parse_comments_and_blank_lines():
         (("[ideal]", "[ideals]"), "unknown section"),
         (("vars = x y", "vars = x x"), "duplicate variable"),
         (("gens = x ; y", "gens = x ; y\nextra = 1"), "unknown key"),
+        # the last value used to win silently: this ran at p = 7
+        (("char = 3", "char = 5\nchar = 7"),
+         "line 3 in [ring]: duplicate key 'char' (first set on line 2)"),
+        # no polynomial can name such a variable, and poly_format would write
+        # (y^2)^3 as y^2^3, which does not parse back
+        (("vars = x y", "vars = x y y^2"),
+         "line 3 in [ring]: variable name 'y^2' is not an identifier"),
+        (("vars = x y", "vars = x y 2z"), "variable name '2z'"),
+        (("vars = x y", "vars = x y z-1"), "variable name 'z-1'"),
     ],
 )
 def test_parse_diagnostics(mutation, message):
@@ -222,6 +230,34 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert run_command(["bounds", str(tmp_path / "missing.fpb")]) == 2
 
 
+@pytest.mark.parametrize("order", ["lex", "grlex"])
+def test_order_other_than_grevlex_is_an_input_error(tmp_path, capsys, order):
+    path = write(tmp_path, PARAM_FPB + f"[options]\norder = {order}\n")
+    assert run_command(["kq", path, "--emax", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 7 in [options]: unknown order {order!r}" in captured.err
+    assert "only grevlex" in captured.err
+
+
+def test_relations_that_are_not_a_complete_intersection_are_an_input_error(
+    tmp_path,
+):
+    # (x^2, xy) has dimension 1, not 3 - 2: its standard monomials outnumber
+    # the complete-intersection Hilbert function
+    text = PARAM_FPB.replace("char = 3", "char = 5").replace(
+        "vars = x y", "vars = x y z\nrelations = x^2 ; x*y"
+    ).replace("gens = x ; y", "gens = x ; y ; z")
+    path = write(tmp_path, text)
+    proc = _run_module(["member", path, "--q", "5", "--elem", "z^6"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "standard-monomial count 8 != Hilbert dimension 4" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["kq", "--emax", "1", "--cap", "-3"],
     ["kq", "--emax", "-1"],
@@ -338,16 +374,21 @@ def test_flags_outside_a_command_are_input_errors(tmp_path, capsys, argv):
     assert "usage: frobpow" in captured.err
 
 
-def test_python_dash_m_runs_the_cli(fermat_cubic_file):
+def _run_module(argv):
+    """``python -m frobpow.cli argv`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(frobpow.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "frobpow.cli", "bounds", fermat_cubic_file],
+    return subprocess.run(
+        [sys.executable, "-m", "frobpow.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_cli(fermat_cubic_file):
+    proc = _run_module(["bounds", fermat_cubic_file])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("report: bounds\n")
     assert "  nu = 3" in proc.stdout

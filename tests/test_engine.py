@@ -146,13 +146,14 @@ def test_min_containment_degree_parameter_closed_form():
         eng = engine_for(ring, ["x", "y"])
         for e in (1, 2, 3):
             q = p**e
-            assert eng.min_containment_degree(q, nu_hint=2) == 2 * q - 1
+            cap = eng.default_cap(q, 2)
+            assert eng.min_containment_degree(q, cap=cap) == 2 * q - 1
 
 
 def test_min_containment_degree_fermat_cubic(cubic_squares):
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)
-    assert eng.min_containment_degree(7, nu_hint=3) == 22
+    assert eng.min_containment_degree(7, cap=eng.default_cap(7, 3)) == 22
 
 
 def test_cap_too_small_raises(cubic_squares):
@@ -230,7 +231,7 @@ def test_search_starts_above_the_last_hilbert_deficit(cubic_squares, monkeypatch
         return rank_mod(A, p, **kw)
 
     monkeypatch.setattr(linalg, "rank_mod", counted)
-    assert eng.min_containment_degree(7, nu_hint=3) == 22
+    assert eng.min_containment_degree(7, cap=eng.default_cap(7, 3)) == 22
     assert len(calls) == 2
 
 

@@ -40,15 +40,15 @@ CASES["member_non_member.json"] = [
 ]
 
 
-def _argv(case):
+def _argv(case, problem):
     argv = CASES[case]
-    return argv[:1] + [str(PROBLEM)] + argv[1:] + ["--no-timings"]
+    return argv[:1] + [str(problem)] + argv[1:] + ["--no-timings"]
 
 
-def _stdout(case):
+def _stdout(case, problem=PROBLEM):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = run_command(_argv(case))
+        code = run_command(_argv(case, problem))
     assert code == 0, case
     return buf.getvalue().encode("utf-8")
 
@@ -56,6 +56,16 @@ def _stdout(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case):
     assert _stdout(case) == (GOLDEN / case).read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output_without_options_section(case, tmp_path):
+    # grevlex is the only order, so [options] may be left out
+    text = PROBLEM.read_text()
+    problem = tmp_path / "problem.fpb"
+    problem.write_text(text[: text.index("[options]")])
+    assert "[options]" in text and "order" not in problem.read_text()
+    assert _stdout(case, problem) == (GOLDEN / case).read_bytes()
 
 
 if __name__ == "__main__":
