@@ -4,8 +4,8 @@ One subcommand per bound/experiment family: bounds, koszul, kq, member,
 tight, frobenius.  Reports serialize deterministically (stable key order, no
 timestamps in the payload); timings live in a separate envelope field.
 
-Exit codes: 0 success, 1 computation refusal (missing assumption flag or
-matrix-size guard), 2 input error.
+Exit codes: 0 success, 1 computation refusal (missing assumption flag,
+matrix-size guard or Groebner degree cap), 2 input error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .engine import (
     frobenius_closure_test,
     tight_closure_witness_test,
 )
+from .groebner import DegreeCapExceeded
 from .polynomials import _IDENT, PolyError, check_prime, poly_format, poly_parse
 from .rings import KNOWN_FLAGS, AssumptionMissing, RingPresentation
 
@@ -149,15 +150,7 @@ def parse_problem_file(text):
         return out
 
     relations = parse_polys("ring", "relations", required=False)
-    for h in relations:
-        if h.is_zero() or not h.is_homogeneous():
-            raise InputError("[ring]: relation not homogeneous (or zero)")
     gens = parse_polys("ideal", "gens", required=True)
-    if not gens:
-        raise InputError("[ideal]: gens is empty")
-    for g in gens:
-        if g.is_zero() or not g.is_homogeneous():
-            raise InputError("[ideal]: generator not homogeneous (or zero)")
 
     for section in _SECTIONS:
         for key, (_, ln) in data[section].items():
@@ -167,7 +160,11 @@ def parse_problem_file(text):
         ring = RingPresentation(p, var_names, relations, flags=flags)
     except ValueError as exc:
         raise InputError(f"[ring]: {exc}")
-    return ProblemFile(ring, IdealSpec(tuple(gens)))
+    try:
+        ideal = IdealSpec(tuple(gens))
+    except ValueError as exc:
+        raise InputError(f"[ideal]: {exc}")
+    return ProblemFile(ring, ideal)
 
 
 def format_problem_file(pf):
@@ -513,7 +510,7 @@ def run_command(argv):
     except (InputError, PolyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except AssumptionMissing as exc:
+    except (AssumptionMissing, DegreeCapExceeded) as exc:
         print(f"refusal: {exc}", file=sys.stderr)
         return 1
     except MatrixTooLarge as exc:

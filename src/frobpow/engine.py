@@ -56,10 +56,10 @@ class IdealSpec:
 
     def __post_init__(self):
         if not self.generators:
-            raise ValueError("need at least one generator")
+            raise ValueError("gens is empty")
         for g in self.generators:
             if g.is_zero() or not g.is_homogeneous():
-                raise ValueError("generators must be nonzero and homogeneous")
+                raise ValueError("generator not homogeneous (or zero)")
         object.__setattr__(self, "degrees", tuple(g.degree() for g in self.generators))
 
     @classmethod

@@ -90,8 +90,8 @@ def s_polynomial(f, g):
 def buchberger(gens, degree_cap=512):
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Deterministic for a fixed input order.  Raises DegreeCapExceeded if any
-    S-pair lcm degree exceeds ``degree_cap``.
+    Deterministic for a fixed input order.  Raises DegreeCapExceeded if a
+    pair not skipped as coprime has lcm degree above ``degree_cap``.
     """
     basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
@@ -112,15 +112,15 @@ def buchberger(gens, degree_cap=512):
         pairs.discard((i, j))
         lmi = basis[i].leading_monomial()
         lmj = basis[j].leading_monomial()
+        # Buchberger's first criterion: coprime leading monomials
+        if all(min(a, b) == 0 for a, b in zip(lmi, lmj)):
+            continue
         lcm = monomial_lcm(lmi, lmj)
         if monomial_degree(lcm) > degree_cap:
             raise DegreeCapExceeded(
                 f"S-pair lcm degree {monomial_degree(lcm)} exceeds cap {degree_cap};"
                 " raise degree_cap if the input is really this hard"
             )
-        # Buchberger's first criterion: coprime leading monomials
-        if all(min(a, b) == 0 for a, b in zip(lmi, lmj)):
-            continue
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if not r.is_zero():
             basis.append(r.monic())

@@ -266,7 +266,6 @@ def poly_parse(text, var_names, p):
              factor     ::= var ['^' positiveint]
     Whitespace is insignificant.  Variable names are case-sensitive.
     """
-    check_prime(p)
     n = len(var_names)
     var_index = {name: i for i, name in enumerate(var_names)}
     s = text

@@ -1,8 +1,10 @@
 """Standard-graded complete-intersection presentations R = K[x_1..x_N]/(H_1..H_r).
 
-Carries the Hilbert function (by exact power-series arithmetic), graded bases
-of standard monomials (by Groebner data), the a-invariant and the regularity.
-The two routes to dim R_m are deliberately redundant and cross-asserted.
+The constructor computes the Groebner basis and refuses relations that are
+not a complete intersection, the one place that rule is decided.  Carries the
+Hilbert function (by exact power series), graded bases of standard monomials
+(by Groebner data), the a-invariant and the regularity; the two routes to
+dim R_m are deliberately redundant and cross-asserted.
 
 Geometric hypotheses (normality, Cohen-Macaulayness, invertibility of the
 dualizing sheaf, smoothness) are user-asserted flags carried as metadata;
@@ -11,6 +13,7 @@ nothing here verifies them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,16 +66,36 @@ class RingPresentation:
             if h.p != p or h.num_vars != self.num_vars:
                 raise ValueError("relation not defined over this ring's variables")
             if h.is_zero() or not h.is_homogeneous():
-                raise ValueError("relations must be nonzero and homogeneous")
+                raise ValueError("relation not homogeneous (or zero)")
         self.relation_degrees = tuple(h.degree() for h in self.relations)
         if any(d < 1 for d in self.relation_degrees):
             raise ValueError("relation degrees must be >= 1")
         if len(self.relations) >= self.num_vars:
             raise ValueError("need dim R = N - r >= 1")
-        self._gb = None
+        self._gb = (
+            buchberger(list(self.relations)) if self.relations
+            else GroebnerBasis([], self.num_vars)
+        )
+        # dim K[x]/J = dim K[x]/in(J): the size of the largest set of
+        # variables that supports no leading monomial.  It is never below
+        # N - r, and r forms are a regular sequence exactly when it is N - r.
+        n = self.num_vars
+        for free in itertools.combinations(range(n), self.dim + 1):
+            if all(any(lm[i] for i in range(n) if i not in free)
+                   for lm in self._gb.leading_monomials):
+                names = ", ".join(self.var_names[i] for i in free)
+                raise ValueError(
+                    "relations are not a complete intersection: "
+                    f"{names} are algebraically independent modulo them"
+                )
+        # prod_j (1 - t^{delta_j}), each factor multiplied in from the top down
+        num = self._hilbert_numerator = [1]
+        for d in self.relation_degrees:
+            num += [0] * d
+            for i in range(len(num) - 1, d - 1, -1):
+                num[i] -= num[i - d]
         self._bases = {}
         self._nf_cache = {}
-        self._hilbert_numerator = None
 
     # -- structural numbers ------------------------------------------------
 
@@ -104,16 +127,6 @@ class RingPresentation:
     def hilbert_dim(self, m):
         """Coefficient of t^m in prod_j (1 - t^{delta_j}) / (1 - t)^N,
         by exact integer power-series truncation."""
-        if m < 0:
-            return 0
-        if self._hilbert_numerator is None:
-            num = [1]
-            for d in self.relation_degrees:
-                new = num + [0] * d
-                for i, c in enumerate(num):
-                    new[i + d] -= c
-                num = new
-            self._hilbert_numerator = num
         n = self.num_vars
         total = 0
         for k, c in enumerate(self._hilbert_numerator):
@@ -126,25 +139,21 @@ class RingPresentation:
     # -- Groebner-backed graded bases --------------------------------------
 
     def groebner_basis(self):
-        if self._gb is None:
-            if self.relations:
-                self._gb = buchberger(list(self.relations))
-            else:
-                self._gb = GroebnerBasis([], self.num_vars)
         return self._gb
 
     def graded_basis(self, m):
         """Standard monomials of degree m, with the index map used for matrix
-        columns/rows.  Raises ValueError unless their count is hilbert_dim(m),
-        as it is not when the relations are not a complete intersection."""
+        columns/rows.  Their count is asserted to be hilbert_dim(m): __init__
+        refuses every presentation for which it is not, so a mismatch is a
+        Groebner-basis or standard-monomial bug."""
         basis = self._bases.get(m)
         if basis is None:
-            monos = tuple(standard_monomials(self.groebner_basis(), m))
+            monos = tuple(standard_monomials(self._gb, m))
             expected = self.hilbert_dim(m)
             if len(monos) != expected:
-                raise ValueError(
+                raise AssertionError(
                     f"standard-monomial count {len(monos)} != Hilbert dimension "
-                    f"{expected} in degree {m}: Groebner bug or non-CI input"
+                    f"{expected} in degree {m} of a complete intersection"
                 )
             basis = GradedBasis(m, monos, {mono: i for i, mono in enumerate(monos)})
             self._bases[m] = basis
@@ -162,8 +171,7 @@ class RingPresentation:
         hit = cache.get(mono)
         if hit is not None:
             return hit
-        gb = self.groebner_basis()
-        leads = list(zip(gb.leading_monomials, gb.generators))
+        leads = list(zip(self._gb.leading_monomials, self._gb.generators))
         stack = [mono]
         while stack:
             cur = stack[-1]

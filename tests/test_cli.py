@@ -255,7 +255,68 @@ def test_relations_that_are_not_a_complete_intersection_are_an_input_error(
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error: ")
     assert proc.stderr.count("\n") == 1
-    assert "standard-monomial count 8 != Hilbert dimension 4" in proc.stderr
+    assert "not a complete intersection: y, z are algebraically" in proc.stderr
+
+
+# F_3[x,y,z,w]/(x^2, xy) has dimension 3, not 4 - 2, so the complete-
+# intersection numbers (a = -1, and with them an inclusion threshold of 7 at
+# q = 3) are wrong for it: y^m never lies in (z^3, w^3)
+NOT_CI_FPB = """\
+[ring]
+char = 3
+vars = x y z w
+relations = x^2 ; x*y
+[ideal]
+gens = z ; w
+[assumptions]
+flags = normal_domain cohen_macaulay omega_invertible
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--emax", "1"],
+    ["koszul"],
+    ["kq", "--emax", "1"],
+    ["member", "--q", "3", "--elem", "y^7"],
+])
+def test_every_command_refuses_a_non_complete_intersection_on_reading(
+    tmp_path, capsys, argv
+):
+    path = write(tmp_path, NOT_CI_FPB)
+    assert run_command([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: [ring]: relations are not a complete intersection: "
+        "y, z, w are algebraically independent modulo them\n"
+    )
+
+
+def test_groebner_degree_cap_is_a_one_line_refusal(tmp_path):
+    # the S-pair of the two leads x^260*y and x*y^260 has lcm degree 520
+    text = PARAM_FPB.replace("char = 3", "char = 5").replace(
+        "vars = x y",
+        "vars = x y z w\nrelations = x^260*y - z^261 ; x*y^260 - w^261",
+    )
+    proc = _run_module(["member", write(tmp_path, text), "--q", "1", "--elem", "x"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("refusal: S-pair lcm degree 520 exceeds cap 512")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_coprime_pairs_above_the_groebner_degree_cap_are_skipped(
+    tmp_path, capsys
+):
+    # the basis is x^300 - z^300, y^300 - z^300: its two leads are coprime,
+    # and their lcm has degree 600, above buchberger's cap of 512
+    text = PARAM_FPB.replace("char = 3", "char = 5").replace(
+        "vars = x y", "vars = x y z\nrelations = x^300 - y^300 ; x^300 - z^300"
+    )
+    argv = ["member", write(tmp_path, text), "--q", "1", "--elem", "x"]
+    assert run_command(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["member"] is True
 
 
 @pytest.mark.parametrize("argv", [

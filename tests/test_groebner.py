@@ -71,6 +71,12 @@ def test_degree_cap_aborts_with_diagnostic():
         gb_of(["x^2+y^2", "x*y"], XY, 5, degree_cap=2)
 
 
+def test_degree_cap_applies_only_to_pairs_the_coprime_criterion_keeps():
+    # the one S-pair has lcm degree 600, but its leads are coprime
+    gb = gb_of(["x^300", "y^300"], XYZ, 5)
+    assert [g.leading_monomial() for g in gb] == [(0, 300, 0), (300, 0, 0)]
+
+
 def test_basis_is_reduced():
     gb = gb_of(["x^2+y^2", "x*y", "y^3"], XY, 7)
     leads = [g.leading_monomial() for g in gb.generators]

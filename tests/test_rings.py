@@ -1,8 +1,11 @@
+import functools
 import math
+import random
 
 import pytest
 
-from frobpow.polynomials import poly_parse
+from frobpow.groebner import buchberger, monomials_of_degree, standard_monomials
+from frobpow.polynomials import Polynomial, monomial_degree, monomial_lcm, poly_parse
 from frobpow.rings import AssumptionMissing, RingPresentation
 
 from conftest import fermat_cubic_ring, fermat_quartic_ring
@@ -131,6 +134,53 @@ def test_rejects_composite_characteristic():
 
     with pytest.raises(PolyError):
         RingPresentation(6, XY)
+
+
+def _complete_intersection_hilbert(num_vars, degrees, top):
+    """Coefficients of t^0..t^top in prod (1 - t^d) / (1 - t)^num_vars."""
+    series = [math.comb(m + num_vars - 1, num_vars - 1) for m in range(top + 1)]
+    for d in degrees:
+        series = [c - (series[m - d] if m >= d else 0) for m, c in enumerate(series)]
+    return series
+
+
+def _random_relation(rng, p, num_vars):
+    """A monomial, or a binomial of two distinct monomials, of degree 1..3."""
+    monos = list(monomials_of_degree(num_vars, rng.randint(1, 3)))
+    chosen = rng.sample(monos, rng.choice([1, 2]))
+    return Polynomial(p, num_vars, {m: rng.randint(1, p - 1) for m in chosen})
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("num_vars", [3, 4])
+def test_complete_intersection_check_matches_hilbert_counts(p, num_vars):
+    # Oracle: the relations form a complete intersection exactly when the
+    # standard monomials of their Groebner basis are counted by the
+    # complete-intersection Hilbert function up to max(sum of degrees, degree
+    # of the lcm of the leading monomials), the largest degree in which the
+    # two Hilbert-series numerators can have a term.
+    rng = random.Random(10 * p + num_vars)
+    names = ("x", "y", "z", "w")[:num_vars]
+    verdicts = []
+    for _ in range(40):
+        rels = [_random_relation(rng, p, num_vars)
+                for _ in range(rng.randint(1, num_vars - 1))]
+        gb = buchberger(rels)
+        top = max(sum(h.degree() for h in rels),
+                  monomial_degree(functools.reduce(monomial_lcm, gb.leading_monomials)))
+        hilbert = _complete_intersection_hilbert(
+            num_vars, [h.degree() for h in rels], top
+        )
+        is_ci = all(
+            len(standard_monomials(gb, m)) == hilbert[m] for m in range(top + 1)
+        )
+        if is_ci:
+            RingPresentation(p, names, rels)
+        else:
+            with pytest.raises(ValueError, match="not a complete intersection"):
+                RingPresentation(p, names, rels)
+        verdicts.append(is_ci)
+    assert 5 <= sum(verdicts) <= 35  # both answers are exercised
 
 
 # -- normal forms ----------------------------------------------------------
