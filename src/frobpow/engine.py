@@ -9,14 +9,26 @@ the map
 Rows are the standard monomials of R_m, columns are (generator, source
 monomial) pairs in a fixed deterministic order, so membership certificates
 are reproducible.  Membership in a whole degree piece is a Hilbert count, then
-at most one rank test; the search for the least such degree k(q) starts above
-the last degree whose Hilbert count alone rules containment out.
+rank tests; the search for the least such degree k(q) starts above the last
+degree whose Hilbert count alone rules containment out.
+
+The matrix is never built whole.  Let L be the lattice spanned by the
+exponent differences inside each relation and each generator.  Every
+relation, Groebner-basis element, f_i^q and normal form is homogeneous for
+the grading by Z^N/L, so the matrix is block diagonal by class: row mono
+meets column (i, mono') only if class(mono) = class(mono' + q * exp(f_i)).
+A class is keyed by its canonical representative (``class_keys``).  One pass
+per (q, m) sorts rows and columns into classes (``Piece``), keeping their
+relative order; membership assembles and solves only the classes of NF(h),
+and containment ranks one class at a time.  Blocks never cross classes, so
+every pivot and certificate is the one a whole-degree solve would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +58,58 @@ class MatrixTooLarge(RuntimeError):
             f"membership matrix in degree {m} for q={q} has "
             f"{rows}x{cols} = {rows * cols} entries (cap {max_entries})"
         )
+
+
+def lattice_echelon(vectors):
+    """Echelon basis of the lattice the integer vectors span, as (pivot,
+    row) pairs: pivots strictly increase, each row is zero before its pivot
+    and positive at it.  Integer row reduction by Euclid on each column."""
+    rows = [list(v) for v in vectors if any(v)]
+    basis = []
+    c = 0
+    while rows:
+        live = [r for r in rows if r[c]]
+        rows = [r for r in rows if not r[c]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[c]))
+            pivot = live[0]
+            kept = [pivot]
+            for r in live[1:]:
+                t = r[c] // pivot[c]
+                r = [a - t * b for a, b in zip(r, pivot)]
+                if r[c]:
+                    kept.append(r)
+                elif any(r):
+                    rows.append(r)
+            live = kept
+        if live:
+            pivot = live[0]
+            basis.append((c, pivot if pivot[c] > 0 else [-a for a in pivot]))
+        c += 1
+    return tuple(basis)
+
+
+def class_keys(echelon, vectors):
+    """Canonical representatives, as tuples, of the rows of the 2-D integer
+    array vectors modulo the lattice with this echelon basis: each pivot
+    coordinate is brought into [0, pivot) in turn, which later rows (zero
+    there) leave alone.  Two vectors get the same key exactly when they
+    differ by a lattice vector."""
+    v = np.array(vectors, dtype=np.int64)
+    for c, row in echelon:
+        v -= (v[:, c] // row[c])[:, None] * np.array(row, dtype=np.int64)
+    return list(map(tuple, v.tolist()))
+
+
+class Piece(NamedTuple):
+    """One class of the degree-m membership matrix: its rows (standard
+    monomials of R_m) and columns ((generator index, source monomial)
+    pairs), each in its relative order in the whole-degree matrix."""
+
+    m: int
+    key: tuple
+    rows: list
+    cols: list
 
 
 @dataclass(frozen=True)
@@ -116,9 +180,10 @@ class MembershipEngine:
     normal forms of generator Frobenius powers and graded bases.
 
     check_matrix_size is the one place that sizes a membership matrix, by
-    Hilbert function, and _assemble builds exactly the shape it computes.
-    _shape_verdict answers containment from that shape alone, assembling
-    nothing, when the matrix has no rows or fewer columns than rows.
+    Hilbert function; the classes _pieces splits it into have exactly that
+    shape in sum, and _assemble builds one class.  _shape_verdict answers
+    containment from the whole shape alone, assembling nothing, when the
+    matrix has no rows or fewer columns than rows.
 
     With ``max_entries`` set, no membership matrix with more entries is ever
     assembled: operations raise MatrixTooLarge instead.  min_containment_degree
@@ -134,6 +199,14 @@ class MembershipEngine:
         for g in ideal.generators:
             if g.p != ring.p or g.num_vars != ring.num_vars:
                 raise ValueError("ideal generator not defined over the ring")
+        polys = ring.relations + ideal.generators
+        self._echelon = lattice_echelon(
+            [a - b for a, b in zip(t, next(iter(f.terms)))]
+            for f in polys for t in f.terms
+        )
+        # f_i^q = sum c^q x^(q*t) over the terms c x^t of f_i: its class is
+        # q times that of any one term
+        self._exponents = tuple(next(iter(g.terms)) for g in ideal.generators)
         self._fq_cache = {}
 
     def _generator_power(self, i, q):
@@ -155,30 +228,49 @@ class MembershipEngine:
             raise MatrixTooLarge(q, m, rows, cols, self.max_entries)
         return rows, cols
 
-    def _assemble(self, q, m):
-        """Rows: the standard monomials of R_m; columns: (generator index,
-        source monomial) pairs, one per standard monomial of R_{m - q*d_i}.
-        A generator power that is zero in R gives zero columns, so the matrix
-        has exactly the shape check_matrix_size computes."""
+    def _classes(self, monomials, shift=0):
+        """Class keys of the monomials, each multiplied by x^shift."""
+        v = np.array(monomials, dtype=np.int64).reshape(-1, self.ring.num_vars)
+        return class_keys(self._echelon, v + shift)
+
+    def _pieces(self, q, m):
+        """The degree-m matrix for q split by class, as Pieces in order of
+        first appearance: one pass over the rows and one over the columns.
+        A generator power that is zero in R still gives its columns, so the
+        shapes sum to check_matrix_size(q, m)."""
         ring = self.ring
-        target = ring.graded_basis(m)
-        col_meta = []
-        rows, cols, vals = [], [], []
+        rows, cols = {}, {}
+        target = ring.graded_basis(m).monomials
+        for key, mono in zip(self._classes(target), target):
+            rows.setdefault(key, []).append(mono)
         for i, d in enumerate(self.ideal.degrees):
             if m < q * d:
                 continue
+            source = ring.graded_basis(m - q * d).monomials
+            shift = np.multiply(q, self._exponents[i])
+            for key, mono in zip(self._classes(source, shift), source):
+                cols.setdefault(key, []).append((i, mono))
+        return [
+            Piece(m, key, rows.get(key, []), cols.get(key, []))
+            for key in {**rows, **cols}
+        ]
+
+    def _assemble(self, q, piece):
+        """Rows, columns and dense matrix of one class of the degree-m
+        matrix: entry (r, j) is the coefficient of row r in NF(mono * f_i^q)
+        for column j = (i, mono)."""
+        index = {mono: r for r, mono in enumerate(piece.rows)}
+        rows, cols, vals = [], [], []
+        for j, (i, mono) in enumerate(piece.cols):
             gq = self._generator_power(i, q).terms.items()
-            for mono in ring.graded_basis(m - q * d).monomials:
-                j = len(col_meta)
-                col_meta.append((i, mono))
-                coords = ring.reduce((monomial_mul(mono, mt), ct) for mt, ct in gq)
-                for mr, c in coords.items():
-                    rows.append(target.index[mr])
-                    cols.append(j)
-                    vals.append(c)
-        shape = (len(target), len(col_meta))
-        A = linalg.from_triplets(shape, rows, cols, vals, ring.p)
-        return target, col_meta, A
+            coords = self.ring.reduce((monomial_mul(mono, mt), ct) for mt, ct in gq)
+            for mr, c in coords.items():
+                rows.append(index[mr])
+                cols.append(j)
+                vals.append(c)
+        shape = (len(piece.rows), len(piece.cols))
+        A = linalg.from_triplets(shape, rows, cols, vals, self.ring.p)
+        return piece.rows, piece.cols, A
 
     # -- operations --------------------------------------------------------
 
@@ -197,18 +289,23 @@ class MembershipEngine:
                 Polynomial.zero(ring.p, ring.num_vars) for _ in self.ideal.generators
             )
             return MembershipCertificate(True, h, q, zero)
-        target, col_meta, A = self._assemble(q, m)
-        b = np.zeros(len(target), dtype=np.int64)
-        for mono, c in hn.terms.items():
-            b[target.index[mono]] = c
-        x = linalg.solve_mod(A, b, ring.p)
-        if x is None:
-            return MembershipCertificate(False, h, q)
+        # I^[q] is L-homogeneous: h is a member exactly when each class
+        # component of NF(h) is, and the solution is 0 on every other class
+        pieces = {piece.key: piece for piece in self._pieces(q, m)}
         coeff_terms = [dict() for _ in self.ideal.generators]
-        for (i, mono), v in zip(col_meta, x):
-            v = int(v)
-            if v:
-                coeff_terms[i][mono] = v
+        for key in dict.fromkeys(self._classes(list(hn.terms))):
+            piece = pieces[key]
+            if not piece.cols:
+                return MembershipCertificate(False, h, q)
+            rows, col_meta, A = self._assemble(q, piece)
+            b = np.array([hn.terms.get(mono, 0) for mono in rows], dtype=np.int64)
+            x = linalg.solve_mod(A, b, ring.p)
+            if x is None:
+                return MembershipCertificate(False, h, q)
+            for (i, mono), v in zip(col_meta, x):
+                v = int(v)
+                if v:
+                    coeff_terms[i][mono] = v
         coeffs = tuple(
             Polynomial(ring.p, ring.num_vars, t) for t in coeff_terms
         )
@@ -237,15 +334,24 @@ class MembershipEngine:
 
     def degree_containment(self, q, k):
         """True iff R_k is contained in I^[q]: decided by the Hilbert shape
-        of the degree-k matrix when it can be, else by one rank test."""
+        of the degree-k matrix when it can be, else class by class, by the
+        class shapes and then one rank test per class up to the first that
+        is rank-deficient."""
         check_p_power(q, self.ring.p)
         if k < 0:
             raise ValueError("degree must be >= 0")
         verdict = self._shape_verdict(q, k)
-        if verdict is None:
-            target, _, A = self._assemble(q, k)
-            verdict = linalg.rank_mod(A, self.ring.p) == len(target)
-        return verdict
+        if verdict is not None:
+            return verdict
+        pieces = self._pieces(q, k)
+        if any(len(piece.cols) < len(piece.rows) for piece in pieces):
+            return False
+        for piece in pieces:
+            if piece.rows:
+                rows, _, A = self._assemble(q, piece)
+                if linalg.rank_mod(A, self.ring.p) < len(rows):
+                    return False
+        return True
 
     def default_cap(self, q, nu=None):
         """Search cap for the minimal containment degree: predicted threshold

@@ -118,8 +118,9 @@ def buchberger(gens, degree_cap=512):
         lcm = monomial_lcm(lmi, lmj)
         if monomial_degree(lcm) > degree_cap:
             raise DegreeCapExceeded(
-                f"S-pair lcm degree {monomial_degree(lcm)} exceeds cap {degree_cap};"
-                " raise degree_cap if the input is really this hard"
+                f"Groebner basis needs an S-pair of lcm degree "
+                f"{monomial_degree(lcm)}, above the fixed degree cap {degree_cap}; "
+                "relations this hard are not supported"
             )
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if not r.is_zero():

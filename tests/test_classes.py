@@ -1,0 +1,262 @@
+"""The fine grading by Z^N/L: canonical class keys, and the class-split
+membership matrices against a whole-degree reference built here."""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from frobpow import linalg
+from frobpow.engine import (
+    IdealSpec,
+    MembershipEngine,
+    class_keys,
+    lattice_echelon,
+)
+from frobpow.groebner import monomials_of_degree
+from frobpow.polynomials import Polynomial, monomial_mul
+from frobpow.rings import RingPresentation
+
+# -- class keys --------------------------------------------------------------
+
+
+def _keys(gens, vectors):
+    vectors = np.array(vectors).reshape(len(vectors), -1)
+    return class_keys(lattice_echelon(gens), vectors)
+
+
+def _random_vector(rng, n, bound):
+    return [rng.randint(-bound, bound) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lattice_echelon_has_increasing_positive_pivots(n):
+    rng = random.Random(n)
+    for _ in range(50):
+        gens = [_random_vector(rng, n, 6) for _ in range(rng.randint(0, 5))]
+        echelon = lattice_echelon(gens)
+        pivots = [c for c, _ in echelon]
+        assert pivots == sorted(set(pivots))
+        for c, row in echelon:
+            assert row[c] > 0 and not any(row[:c])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_class_key_ignores_lattice_vectors(n):
+    # rank-deficient and full-rank lattices alike
+    rng = random.Random(100 + n)
+    for _ in range(40):
+        gens = [_random_vector(rng, n, 5) for _ in range(rng.randint(0, n + 1))]
+        for _ in range(10):
+            v = _random_vector(rng, n, 30)
+            w = list(v)
+            for g in gens:
+                c = rng.randint(-4, 4)
+                w = [a + c * b for a, b in zip(w, g)]
+            key_v, key_w = _keys(gens, [v, w])
+            assert key_v == key_w
+
+
+def _subgroup_mod(gens, d, n):
+    """The subgroup of (Z/d)^n the vectors generate, by brute-force closure."""
+    seen = {(0,) * n}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in gens:
+                s = tuple((a + b) % d for a, b in zip(u, g))
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("n, d, sum_zero", [
+    (2, 4, False), (2, 6, False), (3, 2, False), (3, 4, False),
+    (3, 6, True), (4, 3, True), (4, 4, True),
+])
+def test_class_key_separates_exactly_the_cosets(n, d, sum_zero):
+    # L contains d*Z^n (or d times the sum-zero lattice S, with every vector
+    # in S), so v - w lies in L exactly when it does mod d: membership is
+    # decided by brute force in (Z/d)^n
+    rng = random.Random(10 * n + d)
+    if sum_zero:
+        scale = [[d if j == i else -d if j == n - 1 else 0 for j in range(n)]
+                 for i in range(n - 1)]
+    else:
+        scale = [[d if j == i else 0 for j in range(n)] for i in range(n)]
+    for _ in range(8):
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            g = _random_vector(rng, n, d)
+            if sum_zero:
+                g[-1] -= sum(g)
+            gens.append(g)
+        lattice = gens + scale
+        group = _subgroup_mod(lattice, d, n)
+        box = [v for v in itertools.product(range(-d, 2 * d), repeat=n)
+               if not sum_zero or sum(v) == d]
+        classes = {}
+        for key, v in zip(_keys(lattice, box), box):
+            classes.setdefault(key, []).append(v)
+
+        def congruent(v, w):
+            return tuple((a - b) % d for a, b in zip(v, w)) in group
+
+        reps = [members[0] for members in classes.values()]
+        for members in classes.values():
+            assert all(congruent(v, members[0]) for v in members)
+        for v, w in itertools.combinations(reps, 2):
+            assert not congruent(v, w)
+
+
+# -- class-split matrices against the whole-degree matrix --------------------
+
+PRIMES = (2, 3, 7, 65537, 2**31 - 1)
+
+
+def _random_monomial(rng, n, degree):
+    mono = [0] * n
+    for _ in range(degree):
+        mono[rng.randrange(n)] += 1
+    return tuple(mono)
+
+
+def _random_binomial(rng, p, n, degree):
+    a = _random_monomial(rng, n, degree)
+    b = _random_monomial(rng, n, degree)
+    while b == a:
+        b = _random_monomial(rng, n, degree)
+    return Polynomial(p, n, {a: 1, b: -rng.randrange(1, p)})
+
+
+def _random_problem(rng, p, primary):
+    """An L-homogeneous problem: binomial relations (a complete
+    intersection), and monomial and binomial generators; a primary one has
+    a pure power of every variable among them."""
+    n = rng.choice((3, 4))
+    names = ("x", "y", "z", "w")[:n]
+    while True:
+        relations = [_random_binomial(rng, p, n, rng.randint(2, 3))
+                     for _ in range(rng.randint(0, n - 2))]
+        try:
+            ring = RingPresentation(p, names, relations)
+        except ValueError:
+            continue
+        break
+    gens = []
+    if primary:
+        for j in range(n):
+            power = tuple(rng.randint(1, 2) if k == j else 0 for k in range(n))
+            gens.append(Polynomial(p, n, {power: 1}))
+    for _ in range(rng.randint(1, 3)):
+        degree = rng.randint(1, 2)
+        if rng.random() < 0.5:
+            gens.append(Polynomial(p, n, {_random_monomial(rng, n, degree): 1}))
+        else:
+            gens.append(_random_binomial(rng, p, n, degree))
+    return MembershipEngine(ring, IdealSpec(tuple(gens)))
+
+
+def _whole_degree(eng, q, m):
+    """The degree-m membership matrix in one piece: rows R_m's standard
+    monomials, columns (i, mono) in generator then basis order."""
+    ring = eng.ring
+    target = ring.graded_basis(m)
+    col_meta, entries = [], []
+    for i, g in enumerate(eng.ideal.generators):
+        if m < q * g.degree():
+            continue
+        gq = ring.normal_form(g.frobenius_power(q)).terms.items()
+        for mono in ring.graded_basis(m - q * g.degree()).monomials:
+            coords = ring.reduce((monomial_mul(mono, t), c) for t, c in gq)
+            entries += [(target.index[r], len(col_meta), c) for r, c in coords.items()]
+            col_meta.append((i, mono))
+    A = np.zeros((len(target), len(col_meta)), dtype=np.int64)
+    for r, j, c in entries:
+        A[r, j] = c
+    return target, col_meta, A
+
+
+def _reference_membership(eng, q, h, whole):
+    """Certificate coefficients of the whole-degree solve, or None."""
+    ring = eng.ring
+    target, col_meta, A = whole
+    hn = ring.normal_form(h)
+    b = np.zeros(len(target), dtype=np.int64)
+    for mono, c in hn.terms.items():
+        b[target.index[mono]] = c
+    x = linalg.solve_mod(A, b, ring.p)
+    if x is None:
+        return None
+    terms = [dict() for _ in eng.ideal.generators]
+    for (i, mono), v in zip(col_meta, x):
+        if int(v):
+            terms[i][mono] = int(v)
+    return tuple(Polynomial(ring.p, ring.num_vars, t) for t in terms)
+
+
+def _elements(eng, rng, q, m):
+    """Elements of degree m: random spans of several monomials, members
+    built from the generators, and ones with a component in a class that
+    has no columns."""
+    ring = eng.ring
+    p, n = ring.p, ring.num_vars
+    monos = list(monomials_of_degree(n, m))
+    out = []
+    for _ in range(3):
+        picks = rng.sample(monos, min(len(monos), rng.randint(2, 5)))
+        out.append(Polynomial(p, n, {mono: rng.randrange(1, p) for mono in picks}))
+    member = Polynomial.zero(p, n)
+    for g in eng.ideal.generators:
+        if m >= q * g.degree():
+            r = Polynomial(p, n, {_random_monomial(rng, n, m - q * g.degree()):
+                                  rng.randrange(1, p)})
+            member = member + r * g.frobenius_power(q)
+    out.append(member)
+    empty = [piece.rows[0] for piece in eng._pieces(q, m)
+             if piece.rows and not piece.cols]
+    if empty:
+        out.append(Polynomial(p, n, {empty[0]: 1}))
+        out.append(member + Polynomial(p, n, {empty[-1]: 1}))
+    return out, bool(empty)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_class_split_matches_the_whole_degree_matrix(p):
+    rng = random.Random(p)
+    seen_empty_class = seen_member = seen_split = seen_contained = 0
+    for primary in (False, True) * 2:
+        eng = _random_problem(rng, p, primary)
+        qs = (1, p, p * p) if p == 2 else (1, p) if p < 10 else (1,)
+        # around k(q) when the ideal is primary, else the lowest degrees; k(q)
+        # grows like q, so primary ideals take q = p only for p <= 3
+        for q in qs[: 2 if p <= 3 else 1] if primary else qs:
+            low = eng.min_containment_degree(q) - 1 if primary else q * min(
+                eng.ideal.degrees)
+            for m in range(low, low + 3):
+                whole = _whole_degree(eng, q, m)
+                pieces = eng._pieces(q, m)
+                seen_split += len(pieces) > 1
+                # rank: the class ranks add up to the whole rank
+                rank = linalg.rank_mod(whole[2], p)
+                assert sum(
+                    linalg.rank_mod(eng._assemble(q, piece)[2], p) for piece in pieces
+                ) == rank
+                contained = rank == len(whole[0])
+                seen_contained += contained
+                assert eng.degree_containment(q, m) == contained
+                # membership: the verdict and the certificate itself
+                elements, empty = _elements(eng, rng, q, m)
+                seen_empty_class += empty
+                for h in elements:
+                    expected = _reference_membership(eng, q, h, whole)
+                    cert = eng.membership(q, h)
+                    assert cert.member == (expected is not None)
+                    if expected is not None and not eng.ring.normal_form(h).is_zero():
+                        seen_member += 1
+                        assert cert.coefficients == expected
+    assert seen_split and seen_member and seen_empty_class and seen_contained

@@ -302,7 +302,10 @@ def test_groebner_degree_cap_is_a_one_line_refusal(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("refusal: S-pair lcm degree 520 exceeds cap 512")
+    assert proc.stderr.startswith(
+        "refusal: Groebner basis needs an S-pair of lcm degree 520, above the "
+        "fixed degree cap 512"
+    )
     assert proc.stderr.count("\n") == 1
 
 

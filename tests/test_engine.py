@@ -17,7 +17,7 @@ from frobpow.groebner import monomials_of_degree
 from frobpow.polynomials import Polynomial, poly_parse
 from frobpow.rings import RingPresentation
 
-from conftest import fermat_cubic_ring
+from conftest import fermat_cubic_ring, fermat_quartic_ring
 
 XY = ("x", "y")
 
@@ -220,19 +220,27 @@ def test_min_containment_degree_matches_ascending_scan(
 
 def test_search_starts_above_the_last_hilbert_deficit(cubic_squares, monkeypatch):
     # degree 20 is the last one with fewer columns than rows, so k(7) = 22
-    # takes two rank tests (21 fails, 22 holds)
+    # is searched in two degrees only (21 fails, 22 holds), and rank tests,
+    # one per class, are made in no other degree; 21 already fails on a
+    # class with fewer columns than rows
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)
-    calls = []
-    rank_mod = linalg.rank_mod
+    split, ranked = [], []
+    pieces, rank_mod = MembershipEngine._pieces, linalg.rank_mod
+
+    def recorded(self, q, m):
+        split.append(m)
+        return pieces(self, q, m)
 
     def counted(A, p, **kw):
-        calls.append(A.shape)
+        ranked.append(split[-1])
         return rank_mod(A, p, **kw)
 
+    monkeypatch.setattr(MembershipEngine, "_pieces", recorded)
     monkeypatch.setattr(linalg, "rank_mod", counted)
     assert eng.min_containment_degree(7, cap=eng.default_cap(7, 3)) == 22
-    assert len(calls) == 2
+    assert split == [21, 22]
+    assert set(ranked) == {22}
 
 
 def test_non_primary_ideal_never_contains():
@@ -284,6 +292,22 @@ def test_tight_closure_witness_classic_curve_example(cubic):
     assert [r.q for r in rep.rows] == [7, 49]
     assert any("guarantee" in n for n in rep.notes)
     assert any("finite evidence" in n for n in rep.notes)
+
+
+def test_quartic_witness_at_q27_is_a_verified_member():
+    # tight --emax 3 on the Fermat quartic at p = 3 reaches q = 27: degree 217
+    # with dim R_217 = 94,180, a whole-degree matrix of about 1.4e10 entries;
+    # the class of c * f^27 alone is 1431 x 2244
+    ring = fermat_quartic_ring(p=3)
+    eng = engine_for(ring, ["x^3", "y^3", "z^3", "w^3"])
+    c, f = ring.parse("x"), ring.parse("x^2*y^2*z^2*w^2")
+    h = c * f.frobenius_power(27)
+    cert = eng.membership(27, h)
+    assert cert.member
+    total = Polynomial.zero(ring.p, ring.num_vars)
+    for hi, g in zip(cert.coefficients, eng.ideal.generators):
+        total = total + hi * g.frobenius_power(27)
+    assert ring.normal_form(h - total).is_zero()
 
 
 def test_tight_closure_no_guarantee_note_below_slope(cubic):
@@ -411,11 +435,17 @@ def test_deficit_degree_is_decided_before_assembly(cubic_squares, no_assembly):
     assert eng.degree_containment(7, 15) is False
 
 
+def _class_shapes_sum(eng, q, m):
+    # the shape of the whole-degree matrix, as the sum of its classes'
+    shapes = [eng._assemble(q, piece)[2].shape for piece in eng._pieces(q, m)]
+    return tuple(map(sum, zip(*shapes)))
+
+
 def test_zero_generator_power_gives_zero_columns():
     # x^5 = 0 in F_5[x,y]/(x^2): its columns are zero, not left out
     ring = RingPresentation(5, XY, [poly_parse("x^2", XY, 5)])
     eng = engine_for(ring, ["x", "y"])
-    assert eng._assemble(5, 7)[2].shape == eng.check_matrix_size(5, 7) == (2, 4)
+    assert _class_shapes_sum(eng, 5, 7) == eng.check_matrix_size(5, 7) == (2, 4)
     h = ring.parse("x*y^6")
     cert = eng.membership(5, h)
     assert cert.member
@@ -429,4 +459,4 @@ def test_assembled_shape_is_the_hilbert_shape(cubic_squares):
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)
     for q, m in ((1, 0), (1, 1), (1, 5), (7, 13), (7, 14), (7, 22)):
-        assert eng._assemble(q, m)[2].shape == eng.check_matrix_size(q, m)
+        assert _class_shapes_sum(eng, q, m) == eng.check_matrix_size(q, m)
