@@ -20,8 +20,11 @@ meets column (i, mono') only if class(mono) = class(mono' + q * exp(f_i)).
 A class is keyed by its canonical representative (``class_keys``).  One pass
 per (q, m) sorts rows and columns into classes (``Piece``), keeping their
 relative order; membership assembles and solves only the classes of NF(h),
-and containment ranks one class at a time.  Blocks never cross classes, so
-every pivot and certificate is the one a whole-degree solve would give.
+and containment ranks one class at a time.  Classes share no rows and no
+columns, so every pivot and certificate is the one a whole-degree solve would
+give.  All of this is plain Python: a class is assembled as a
+``linalg.SparseMatrix`` of dict rows, and only linalg's dense finish, for a
+class that fills in, imports numpy.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from . import linalg
 from .bounds import inclusion_threshold
@@ -90,15 +91,23 @@ def lattice_echelon(vectors):
 
 
 def class_keys(echelon, vectors):
-    """Canonical representatives, as tuples, of the rows of the 2-D integer
-    array vectors modulo the lattice with this echelon basis: each pivot
-    coordinate is brought into [0, pivot) in turn, which later rows (zero
-    there) leave alone.  Two vectors get the same key exactly when they
-    differ by a lattice vector."""
-    v = np.array(vectors, dtype=np.int64)
-    for c, row in echelon:
-        v -= (v[:, c] // row[c])[:, None] * np.array(row, dtype=np.int64)
-    return list(map(tuple, v.tolist()))
+    """Canonical representatives, as tuples, of the integer vectors modulo
+    the lattice with this echelon basis: each pivot coordinate is brought
+    into [0, pivot) in turn, which later rows (zero there) leave alone.  Two
+    vectors get the same key exactly when they differ by a lattice vector."""
+    # each row as its pivot entry and its nonzero (coordinate, entry) pairs
+    steps = [(c, row[c], [(i, a) for i, a in enumerate(row) if a])
+             for c, row in echelon]
+    keys = []
+    for v in vectors:
+        v = list(v)
+        for c, d, support in steps:
+            t = v[c] // d
+            if t:
+                for i, a in support:
+                    v[i] -= t * a
+        keys.append(tuple(v))
+    return keys
 
 
 class Piece(NamedTuple):
@@ -228,10 +237,17 @@ class MembershipEngine:
             raise MatrixTooLarge(q, m, rows, cols, self.max_entries)
         return rows, cols
 
-    def _classes(self, monomials, shift=0):
+    def _classes(self, monomials, shift=None):
         """Class keys of the monomials, each multiplied by x^shift."""
-        v = np.array(monomials, dtype=np.int64).reshape(-1, self.ring.num_vars)
-        return class_keys(self._echelon, v + shift)
+        keys = class_keys(self._echelon, monomials)
+        if shift is None:
+            return keys
+        # a key differs from its monomial by a lattice vector, so the key
+        # times x^shift lies in the class of the monomial times x^shift
+        distinct = list(dict.fromkeys(keys))
+        shifted = (monomial_mul(key, shift) for key in distinct)
+        moved = dict(zip(distinct, class_keys(self._echelon, shifted)))
+        return [moved[key] for key in keys]
 
     def _pieces(self, q, m):
         """The degree-m matrix for q split by class, as Pieces in order of
@@ -247,7 +263,7 @@ class MembershipEngine:
             if m < q * d:
                 continue
             source = ring.graded_basis(m - q * d).monomials
-            shift = np.multiply(q, self._exponents[i])
+            shift = tuple(q * a for a in self._exponents[i])
             for key, mono in zip(self._classes(source, shift), source):
                 cols.setdefault(key, []).append((i, mono))
         return [
@@ -256,21 +272,18 @@ class MembershipEngine:
         ]
 
     def _assemble(self, q, piece):
-        """Rows, columns and dense matrix of one class of the degree-m
+        """Rows, columns and sparse matrix of one class of the degree-m
         matrix: entry (r, j) is the coefficient of row r in NF(mono * f_i^q)
         for column j = (i, mono)."""
-        index = {mono: r for r, mono in enumerate(piece.rows)}
-        rows, cols, vals = [], [], []
+        entries = [{} for _ in piece.rows]
+        row_of = dict(zip(piece.rows, entries))
         for j, (i, mono) in enumerate(piece.cols):
             gq = self._generator_power(i, q).terms.items()
             coords = self.ring.reduce((monomial_mul(mono, mt), ct) for mt, ct in gq)
             for mr, c in coords.items():
-                rows.append(index[mr])
-                cols.append(j)
-                vals.append(c)
+                row_of[mr][j] = c
         shape = (len(piece.rows), len(piece.cols))
-        A = linalg.from_triplets(shape, rows, cols, vals, self.ring.p)
-        return piece.rows, piece.cols, A
+        return piece.rows, piece.cols, linalg.SparseMatrix(shape, entries)
 
     # -- operations --------------------------------------------------------
 
@@ -298,12 +311,11 @@ class MembershipEngine:
             if not piece.cols:
                 return MembershipCertificate(False, h, q)
             rows, col_meta, A = self._assemble(q, piece)
-            b = np.array([hn.terms.get(mono, 0) for mono in rows], dtype=np.int64)
+            b = [hn.terms.get(mono, 0) for mono in rows]
             x = linalg.solve_mod(A, b, ring.p)
             if x is None:
                 return MembershipCertificate(False, h, q)
             for (i, mono), v in zip(col_meta, x):
-                v = int(v)
                 if v:
                     coeff_terms[i][mono] = v
         coeffs = tuple(

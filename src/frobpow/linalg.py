@@ -1,46 +1,138 @@
-"""Exact linear algebra over F_p on top of numpy, split into connected blocks.
+"""Exact linear algebra over F_p: sparse elimination on dict rows, with a
+dense numpy finish for matrices that fill in.
 
-``rank_mod`` and ``solve_mod`` first split the matrix into the connected
-components of the bipartite graph whose vertices are its rows and columns and
-whose edges are its nonzero entries.  Each block keeps its rows and
-columns in their original order and is eliminated on its own; zero rows and
-zero columns belong to no block.  Columns of different blocks share no rows,
-so column j is a pivot of its block exactly when it is a pivot of the whole
-matrix (it is not in the span of the columns before it): the rank is the sum
-of the block ranks, and the solution with free variables at 0 is the block
-solutions put back in place, identical to a dense solve.  A matrix that forms
-one block is eliminated whole.
+``rank_mod`` and ``solve_mod`` eliminate a matrix held as one dict
+{column: value} per row.  Rows are taken shortest first; each is reduced by
+its leading entry against a table of pivot rows keyed by their leading
+column, until it is zero or leads in a column with no pivot row yet, where it
+becomes that column's pivot row.  Whichever rows are picked as pivots, the
+pivot columns are the same: column j is a pivot exactly when it is not in the
+span of the columns before it (the reduced row echelon form is unique).  So
+the rank, the pivot columns and the solution with free variables 0 are those
+of any dense elimination, and the order of rows is free to follow sparsity,
+after Markowitz (Management Science 1957).  The sparse phase never mixes rows
+of different connected blocks, so block structure costs nothing.
 
-Row echelon runs blocked (right-looking LU style) in panels of ``_PANEL``
-columns: a panel is eliminated with per-pivot vectorized updates and the
-trailing submatrix is updated with one matrix product per panel, so large
-blocks stay BLAS-bound.  Every product goes through ``_matmul_mod``, the one
-place that decides how to multiply exactly mod p for every prime below 2**32,
-from the bound k * (p-1)**2 on its entries (k the inner dimension, at most
-``_PANEL``): float32 BLAS below 2**24, float64 BLAS below 2**53, int64 below
-2**63, and beyond that the right operand split into 16-bit halves.  An outer
-product (k = 1) is a broadcast multiply, which BLAS would not speed up, so it
-stays on integers.
+The sparse phase counts entry updates.  A matrix that needs more than
+``_BUDGET`` of them fills in too much to be worth eliminating in Python: the
+pivot rows made so far and the rows not yet reduced, which span the same row
+space as the input, are stacked into a numpy array and finished by
+``row_echelon_mod`` (the sparse-then-dense split of Faugere-Lachartre, PASCO
+2010).  numpy is imported there, on first use, and nowhere else.
+
+``row_echelon_mod`` runs blocked (right-looking LU style) in panels of
+``_PANEL`` columns: a panel is eliminated with per-pivot vectorized updates
+and the trailing submatrix is updated with one matrix product per panel, so
+large matrices stay BLAS-bound.  Every product goes through ``_matmul_mod``,
+the one place that decides how to multiply exactly mod p for every prime
+below 2**32, from the bound k * (p-1)**2 on its entries (k the inner
+dimension, at most ``_PANEL``): float32 BLAS below 2**24, float64 BLAS below
+2**53, int64 below 2**63, and beyond that the right operand split into 16-bit
+halves.  An outer product (k = 1) is a broadcast multiply, which BLAS would
+not speed up, so it stays on integers.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 _PANEL = 128
+
+# entry updates the sparse phase may make before it hands a matrix to the
+# dense finish.  At 0.2-0.4 us each, a matrix that fills in loses at most
+# about 0.25 s before it goes dense; the largest class the package is known
+# to meet that stays sparse (c * f^27 on the Fermat quartic at p = 3, 1431 x
+# 2244) takes 682,175
+_BUDGET = 3 << 18
+
+
+class SparseMatrix:
+    """An n x m matrix as one dict {column: value} per row, zeros left out.
+
+    ``np.asarray`` gives its dense form, which only the dense finish asks
+    for."""
+
+    __slots__ = ("shape", "rows")
+
+    def __init__(self, shape, rows):
+        self.shape = shape
+        self.rows = rows
+
+    @property
+    def size(self):
+        return self.shape[0] * self.shape[1]
+
+    def __array__(self, dtype=None, copy=None):
+        import numpy as np
+
+        A = np.zeros(self.shape, dtype=np.int64 if dtype is None else dtype)
+        for i, row in enumerate(self.rows):
+            A[i, list(row)] = list(row.values())
+        return A
+
+
+def _sparse_rows(A, p):
+    """(column count, rows of A reduced mod p as fresh dicts) for a
+    SparseMatrix or anything ``np.asarray`` takes as a 2-D integer array."""
+    if isinstance(A, SparseMatrix):
+        pairs = [row.items() for row in A.rows]
+    else:
+        import numpy as np
+
+        A = np.asarray(A)
+        pairs = []
+        for row in A:
+            nz = np.flatnonzero(row)
+            pairs.append(zip(nz.tolist(), row[nz].tolist()))
+    return A.shape[1], [{j: w for j, v in r if (w := v % p)} for r in pairs]
+
+
+def _eliminate(rows, p):
+    """Sparse phase: (pivots, rest).  pivots maps each pivot column found to
+    its row, scaled to 1 there and zero before it.  rest is None when every
+    row is reduced, else the rows still to reduce when the update count
+    passed _BUDGET; the pivot rows and rest then span the input's row
+    space.  The dicts in rows are reduced in place."""
+    rows = sorted(rows, key=len)
+    pivots = {}
+    work = 0
+    for k, row in enumerate(rows):
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], -1, p)
+                if inv != 1:
+                    row = {j: v * inv % p for j, v in row.items()}
+                pivots[c] = row
+                break
+            if work > _BUDGET:
+                return pivots, rows[k:]
+            work += len(piv)
+            f = p - row[c]
+            get = row.get
+            for j, v in piv.items():
+                w = (get(j, 0) + f * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    # w is 0 only where row had an entry: f * v != 0 mod p
+                    del row[j]
+    return pivots, None
+
+
+def _dense(pivots, rest, width, p):
+    """The pivot rows, in pivot order, over the nonzero rows of rest, as one
+    dense array of the given width in the storage dtype for p."""
+    import numpy as np
+
+    stack = [pivots[c] for c in sorted(pivots)] + [row for row in rest if row]
+    return np.asarray(SparseMatrix((len(stack), width), stack), dtype=_storage_dtype(p))
 
 
 def _storage_dtype(p):
+    import numpy as np
+
     # products mult*entry stay below (p-1)^2; keep them inside the dtype
     return np.int32 if p <= 32749 else np.int64
-
-
-def from_triplets(shape, rows, cols, vals, p):
-    """A zero array of the given shape, in the storage dtype for p, with
-    vals[t] at (rows[t], cols[t]) for every t."""
-    A = np.zeros(shape, dtype=_storage_dtype(p))
-    A[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = vals
-    return A
 
 
 def _matmul_mod(A, B, p):
@@ -51,6 +143,8 @@ def _matmul_mod(A, B, p):
     The result has the operands' dtype when k * (p-1)**2 + p fits it, so the
     caller's ``(C - A @ B) % p`` cannot overflow, and int64 otherwise.
     """
+    import numpy as np
+
     k = A.shape[1]
     bound = k * (p - 1) ** 2
     dtype = np.result_type(A, B)
@@ -69,11 +163,14 @@ def _matmul_mod(A, B, p):
 
 
 def row_echelon_mod(M, p):
-    """In-place row echelon form of M over F_p; returns the pivot columns.
+    """In-place row echelon form of the numpy array M over F_p; returns the
+    pivot columns.
 
     Deterministic: pivots are the first nonzero entry in each column, columns
     processed left to right.
     """
+    import numpy as np
+
     n, m = M.shape
     np.mod(M, p, out=M)
     pivots = []
@@ -114,68 +211,20 @@ def row_echelon_mod(M, p):
     return pivots
 
 
-def _blocks(A):
-    """Connected blocks of A, as (rows, cols) pairs of ascending index arrays;
-    a row or column with no nonzero entry is in no block.  An entry that is
-    nonzero but 0 mod p can only merge two blocks, which changes no result."""
-    n, m = A.shape
-    rows, cols = np.nonzero(A)
-    if rows.size == 0:
-        return []
-    # union-find on vertices 0..n-1 (rows) and n..n+m-1 (columns): hook the
-    # larger root of every edge that joins two trees onto the smaller one, then
-    # compress every path to its root, until no edge joins two trees
-    u, v = rows, cols + n
-    parent = np.arange(n + m)
-    while True:
-        pu, pv = parent[u], parent[v]
-        join = pu != pv
-        if not join.any():
-            break
-        pu, pv = pu[join], pv[join]
-        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
-        while True:
-            grand = parent[parent]
-            if (grand == parent).all():
-                break
-            parent = grand
-    # a component's root is its smallest vertex, a row: group by root
-    nz_rows = np.flatnonzero(np.bincount(rows, minlength=n))
-    nz_cols = np.flatnonzero(np.bincount(cols, minlength=m))
-    row_root = parent[nz_rows]
-    col_root = parent[nz_cols + n]
-    row_order = np.argsort(row_root, kind="stable")
-    col_order = np.argsort(col_root, kind="stable")
-    _, row_start = np.unique(row_root[row_order], return_index=True)
-    _, col_start = np.unique(col_root[col_order], return_index=True)
-    return list(
-        zip(
-            np.split(nz_rows[row_order], row_start[1:]),
-            np.split(nz_cols[col_order], col_start[1:]),
-        )
-    )
-
-
-def _submatrix(A, rows, cols, extra_cols=0):
-    """A fresh copy of A[rows][:, cols], with extra_cols spare columns."""
-    M = np.empty((len(rows), len(cols) + extra_cols), dtype=A.dtype)
-    if len(rows) == A.shape[0] and len(cols) == A.shape[1]:
-        M[:, : len(cols)] = A  # one block spanning the matrix
-    else:
-        M[:, : len(cols)] = A[np.ix_(rows, cols)]
-    return M
-
-
 def rank_mod(A, p):
-    A = np.asarray(A, dtype=_storage_dtype(p))
-    return sum(
-        len(row_echelon_mod(_submatrix(A, rows, cols), p)) for rows, cols in _blocks(A)
-    )
+    """Rank over F_p of a SparseMatrix or a 2-D integer array."""
+    m, rows = _sparse_rows(A, p)
+    pivots, rest = _eliminate(rows, p)
+    if rest is None:
+        return len(pivots)
+    return len(row_echelon_mod(_dense(pivots, rest, m, p), p))
 
 
 def _solve_augmented(M, p):
-    """Solution of [A | b] = M with free variables 0, or None; M is reduced
-    to row echelon form in place and its last column consumed."""
+    """Solution of [A | b] = M with free variables 0, as a list, or None; M
+    is reduced to row echelon form in place and its last column consumed."""
+    import numpy as np
+
     m = M.shape[1] - 1
     pivots = row_echelon_mod(M, p)
     if pivots and pivots[-1] == m:
@@ -189,30 +238,29 @@ def _solve_augmented(M, p):
         x[pc] = pow(int(M[i, pc]), -1, p) * int(rhs[i, 0]) % p
         prod = _matmul_mod(M[:i, pc : pc + 1], x[pc : pc + 1, None], p)
         rhs[:i] = (rhs[:i] - prod) % p
-    return x
+    return x.tolist()
 
 
 def solve_mod(A, b, p):
-    """One solution x of A x = b over F_p (free variables set to 0), or None
-    if the system is inconsistent."""
-    A = np.asarray(A, dtype=_storage_dtype(p))
-    b = np.asarray(b, dtype=_storage_dtype(p)).reshape(-1)
-    n, m = A.shape
-    if b.shape[0] != n:
+    """One solution x of A x = b over F_p (free variables set to 0), as a
+    list of ints, or None if the system is inconsistent.  A is a
+    SparseMatrix or a 2-D integer array, b a sequence of integers."""
+    m, rows = _sparse_rows(A, p)
+    b = [int(v) % p for v in b]
+    if len(b) != len(rows):
         raise ValueError("dimension mismatch")
-    blocks = _blocks(A)
-    # b must vanish on the rows of no block: A is zero there
-    outside = np.ones(n, dtype=bool)
-    for rows, _ in blocks:
-        outside[rows] = False
-    if (b[outside] % p).any():
+    # b is column m of the augmented matrix [A | b]
+    for row, v in zip(rows, b):
+        if v:
+            row[m] = v
+    pivots, rest = _eliminate(rows, p)
+    if rest is not None:
+        return _solve_augmented(_dense(pivots, rest, m + 1, p), p)
+    if m in pivots:
         return None
-    x = np.zeros(m, dtype=_storage_dtype(p))
-    for rows, cols in blocks:
-        M = _submatrix(A, rows, cols, extra_cols=1)
-        M[:, -1] = b[rows]
-        xb = _solve_augmented(M, p)
-        if xb is None:
-            return None
-        x[cols] = xb
+    x = [0] * m
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        s = row.get(m, 0) - sum(v * x[j] for j, v in row.items() if c < j < m)
+        x[c] = s % p
     return x

@@ -38,11 +38,10 @@ class AssumptionMissing(RuntimeError):
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Standard monomials of one graded piece R_m, with column positions."""
+    """Standard monomials of one graded piece R_m, in grevlex order."""
 
     degree: int
     monomials: tuple
-    index: dict
 
     def __len__(self):
         return len(self.monomials)
@@ -142,10 +141,9 @@ class RingPresentation:
         return self._gb
 
     def graded_basis(self, m):
-        """Standard monomials of degree m, with the index map used for matrix
-        columns/rows.  Their count is asserted to be hilbert_dim(m): __init__
-        refuses every presentation for which it is not, so a mismatch is a
-        Groebner-basis or standard-monomial bug."""
+        """Standard monomials of degree m.  Their count is asserted to be
+        hilbert_dim(m): __init__ refuses every presentation for which it is
+        not, so a mismatch is a Groebner-basis or standard-monomial bug."""
         basis = self._bases.get(m)
         if basis is None:
             monos = tuple(standard_monomials(self._gb, m))
@@ -155,7 +153,7 @@ class RingPresentation:
                     f"standard-monomial count {len(monos)} != Hilbert dimension "
                     f"{expected} in degree {m} of a complete intersection"
                 )
-            basis = GradedBasis(m, monos, {mono: i for i, mono in enumerate(monos)})
+            basis = GradedBasis(m, monos)
             self._bases[m] = basis
         return basis
 

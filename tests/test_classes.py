@@ -166,6 +166,7 @@ def _whole_degree(eng, q, m):
     monomials, columns (i, mono) in generator then basis order."""
     ring = eng.ring
     target = ring.graded_basis(m)
+    index = {mono: r for r, mono in enumerate(target.monomials)}
     col_meta, entries = [], []
     for i, g in enumerate(eng.ideal.generators):
         if m < q * g.degree():
@@ -173,7 +174,7 @@ def _whole_degree(eng, q, m):
         gq = ring.normal_form(g.frobenius_power(q)).terms.items()
         for mono in ring.graded_basis(m - q * g.degree()).monomials:
             coords = ring.reduce((monomial_mul(mono, t), c) for t, c in gq)
-            entries += [(target.index[r], len(col_meta), c) for r, c in coords.items()]
+            entries += [(index[r], len(col_meta), c) for r, c in coords.items()]
             col_meta.append((i, mono))
     A = np.zeros((len(target), len(col_meta)), dtype=np.int64)
     for r, j, c in entries:
@@ -185,10 +186,11 @@ def _reference_membership(eng, q, h, whole):
     """Certificate coefficients of the whole-degree solve, or None."""
     ring = eng.ring
     target, col_meta, A = whole
+    index = {mono: r for r, mono in enumerate(target.monomials)}
     hn = ring.normal_form(h)
     b = np.zeros(len(target), dtype=np.int64)
     for mono, c in hn.terms.items():
-        b[target.index[mono]] = c
+        b[index[mono]] = c
     x = linalg.solve_mod(A, b, ring.p)
     if x is None:
         return None

@@ -464,3 +464,56 @@ def test_characteristic_above_2_to_32_is_an_input_error(tmp_path, capsys):
     assert run_command(["bounds", path]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "below 2**32" in err
+
+
+QUARTIC_FPB = """\
+[ring]
+char = 5
+vars = x y z w
+relations = z^4 + x^4 + w^4 + y^4
+[ideal]
+gens = x^3 ; y^3 ; z^3 ; w^3
+"""
+
+# runs the commands given as JSON in argv[1] with the sparse phase's update
+# budget set to argv[2] (empty: left as it is), and reports on stderr the exit
+# codes and whether numpy was ever imported
+NUMPY_PROBE = """\
+import json, sys
+from frobpow import cli, linalg
+if sys.argv[2]:
+    linalg._BUDGET = int(sys.argv[2])
+codes = [cli.run_command(argv) for argv in json.loads(sys.argv[1])]
+sys.stderr.write(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _probe(commands, budget=""):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(frobpow.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands), budget],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, json.loads(proc.stderr)
+
+
+def test_numpy_is_loaded_only_when_a_class_needs_the_dense_finish(
+    tmp_path, fermat_cubic_file
+):
+    quartic = write(tmp_path, QUARTIC_FPB, "quartic.fpb")
+    commands = [
+        # the tight_quartic benchmark query, and the README's kq example
+        ["member", quartic, "--q", "5", "--elem", "x^11*y^10*z^10*w^10",
+         "--allow-large", "--format", "json", "--no-timings"],
+        ["kq", fermat_cubic_file, "--emax", "2", "--format", "json", "--no-timings"],
+    ]
+    sparse_out, sparse = _probe(commands)
+    assert sparse == {"codes": [0, 0], "numpy": False}
+    # with no update budget, every class that needs a reduction goes dense
+    dense_out, dense = _probe(commands, budget="0")
+    assert dense == {"codes": [0, 0], "numpy": True}
+    assert dense_out == sparse_out
+    assert '"member": true' in sparse_out and '"k_empirical": 22' in sparse_out

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from frobpow.linalg import rank_mod, row_echelon_mod, solve_mod
+from frobpow import linalg
+from frobpow.linalg import SparseMatrix, rank_mod, row_echelon_mod, solve_mod
 from frobpow.polynomials import PolyError, Polynomial, check_prime
 
 
@@ -56,7 +57,7 @@ def test_solve_recovers_consistent_system():
             b = (A @ x0) % p
             x = solve_mod(A, b, p)
             assert x is not None
-            assert ((A @ x.astype(np.int64)) % p == b).all()
+            assert ((A @ np.array(x, dtype=np.int64)) % p == b).all()
 
 
 def test_solve_detects_inconsistency():
@@ -72,7 +73,7 @@ def test_solve_zero_matrix():
     A = np.zeros((3, 2), dtype=int)
     assert solve_mod(A, np.array([0, 1, 0]), p) is None
     x = solve_mod(A, np.zeros(3, dtype=int), p)
-    assert x is not None and (x == 0).all()
+    assert x == [0, 0]
 
 
 def test_rank_invariant_under_permutation():
@@ -103,7 +104,7 @@ def test_exhaustive_tiny_over_f2():
         assert rank_mod(np.array(A), 2) == rank_oracle(A, 2)
 
 
-# -- block split -------------------------------------------------------------
+# -- block-diagonal matrices against one unsplit elimination ------------------
 
 def dense_solve(A, b, p):
     """Solution with free variables 0 from one row_echelon_mod of the unsplit
@@ -155,13 +156,13 @@ def test_block_split_rank_and_solve_match_unsplit(p):
             if expected is None:
                 assert x is None
             else:
-                assert x is not None and x.tolist() == expected
+                assert x == expected
 
 
 def test_solve_nonzero_on_empty_row_is_inconsistent():
     p = 7
     A = np.array([[1, 2, 0], [0, 0, 0], [0, 0, 3]])
-    assert solve_mod(A, np.array([1, 0, 3]), p).tolist() == [1, 0, 1]
+    assert solve_mod(A, np.array([1, 0, 3]), p) == [1, 0, 1]
     assert solve_mod(A, np.array([1, 5, 3]), p) is None
     # an entry of p is zero mod p: its row is empty too
     assert solve_mod(np.array([[p, 0], [0, 1]]), np.array([1, 0]), p) is None
@@ -171,8 +172,8 @@ def test_empty_matrices():
     p = 5
     assert rank_mod(np.zeros((0, 4), dtype=int), p) == 0
     assert rank_mod(np.zeros((3, 0), dtype=int), p) == 0
-    assert solve_mod(np.zeros((0, 4), dtype=int), np.zeros(0, dtype=int), p).tolist() == [0] * 4
-    assert solve_mod(np.zeros((3, 0), dtype=int), np.zeros(3, dtype=int), p).tolist() == []
+    assert solve_mod(np.zeros((0, 4), dtype=int), np.zeros(0, dtype=int), p) == [0] * 4
+    assert solve_mod(np.zeros((3, 0), dtype=int), np.zeros(3, dtype=int), p) == []
     assert solve_mod(np.zeros((3, 0), dtype=int), np.array([0, 2, 0]), p) is None
 
 
@@ -222,8 +223,84 @@ def check_wide_low_rank(rng, p):
             if expected is None:
                 assert x is None
             else:
-                assert x is not None and x.tolist() == expected
-                assert ((A.astype(object) @ x.astype(object)) % p == b).all()
+                assert x == expected
+                assert ((A.astype(object) @ np.array(x, dtype=object)) % p == b).all()
+
+
+# -- sparse phase against the dense reference ---------------------------------
+
+def sparse_low_rank(rng, p, n, m):
+    """A random n x m matrix of rank at most k, with rows that are sums of
+    a few sparse generating rows: structured zeros that fill in as they are
+    eliminated, in row and column orders that are not its echelon order."""
+    k = rng.randint(1, min(n, m))
+    basis = [{j: rng.randrange(1, p) for j in rng.sample(range(m), rng.randint(1, min(m, 4)))}
+             for _ in range(k)]
+    A = np.zeros((n, m), dtype=object)
+    for i in range(n):
+        for g in rng.sample(basis, rng.randint(0, min(3, k))):
+            c = rng.randrange(1, p)
+            for j, v in g.items():
+                A[i, j] = (A[i, j] + c * v) % p
+    return A.astype(np.int64)
+
+
+def check_against_dense(rng, p, A):
+    """rank_mod and solve_mod on A and on its SparseMatrix form against
+    row_echelon_mod of the whole (augmented) matrix."""
+    n, m = A.shape
+    rank = len(row_echelon_mod(A.copy(), p))
+    rows = [{j: int(v) for j, v in enumerate(r) if v} for r in A]
+    sparse = SparseMatrix((n, m), rows)
+    assert rank_mod(A, p) == rank_mod(sparse, p) == rank
+    x0 = np.array([rng.randrange(p) for _ in range(m)], dtype=object)
+    consistent = (A.astype(object) @ x0 % p).astype(np.int64)
+    outside = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+    for b in (consistent, outside):
+        expected = dense_solve(A, b, p)
+        assert solve_mod(A, b, p) == solve_mod(sparse, list(b), p) == expected
+    # the input is left as it was
+    assert sparse.rows == rows
+
+
+def handoffs(monkeypatch):
+    """Spy on the dense finish: the (pivot rows, rows left) counts of each
+    handoff."""
+    seen = []
+    dense = linalg._dense
+
+    def spy(pivots, rest, width, p):
+        seen.append((len(pivots), sum(1 for row in rest if row)))
+        return dense(pivots, rest, width, p)
+
+    monkeypatch.setattr(linalg, "_dense", spy)
+    return seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 65537, 2**31 - 1, 4294967291])
+def test_sparse_phase_matches_dense_reference_across_budgets(monkeypatch, p):
+    rng = random.Random(p)
+    seen = handoffs(monkeypatch)
+    # small budgets hand off part-way, after some pivots and before the last
+    for budget in (0, 3, 30, 300, linalg._BUDGET):
+        monkeypatch.setattr(linalg, "_BUDGET", budget)
+        for _ in range(6):
+            A = sparse_low_rank(rng, p, rng.randint(1, 24), rng.randint(1, 24))
+            check_against_dense(rng, p, A)
+    assert any(pivots and rest for pivots, rest in seen)
+
+
+def test_fill_in_past_the_budget_takes_the_dense_finish(monkeypatch):
+    # 10% dense at p = 7: elimination fills it in, past the update budget
+    p, n, m = 7, 200, 260
+    rng = random.Random(7)
+    A = np.array([[rng.randrange(1, p) if rng.random() < 0.1 else 0 for _ in range(m)]
+                  for _ in range(n)], dtype=np.int64)
+    seen = handoffs(monkeypatch)
+    assert rank_mod(A, p) == len(row_echelon_mod(A.copy(), p))
+    b = (A @ np.arange(m)) % p
+    assert solve_mod(A, b, p) == dense_solve(A, b, p)
+    assert len(seen) == 2 and all(pivots and rest for pivots, rest in seen)
 
 
 def test_characteristic_above_ceiling_is_refused():

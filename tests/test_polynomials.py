@@ -8,6 +8,7 @@ from frobpow.polynomials import (
     Polynomial,
     check_p_power,
     grevlex_key,
+    is_prime,
     poly_format,
     poly_parse,
 )
@@ -161,6 +162,30 @@ def test_frobenius_rejects_non_p_power():
         f.frobenius_power(10)
     with pytest.raises(PolyError):
         f.frobenius_power(0)
+
+
+def trial_division(n):
+    """Primality by trial division up to sqrt(n): the oracle for is_prime."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    # the unmemoized function, so the sweep leaves the cache as it was
+    for n in range(200_000):
+        assert is_prime.__wrapped__(n) == trial_division(n), n
+    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; and 2, 3, 5, 7
+    for n in (2047, 1373653, 25326001, 3215031751):
+        assert not trial_division(n) and not is_prime(n), n
+    # 4294967311 is prime, though check_prime refuses it for the 2**32 ceiling
+    for n in (2**31 - 1, 4294967291, 4294967311):
+        assert trial_division(n) and is_prime(n), n
 
 
 def test_check_p_power():

@@ -68,7 +68,7 @@ def test_hilbert_eventually_polynomial():
 def test_graded_basis_degree_one(cubic):
     basis = cubic.graded_basis(1)
     assert set(basis.monomials) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert [basis.index[m] for m in basis.monomials] == [0, 1, 2]
+    assert basis.monomials == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_graded_basis_degree_three_excludes_lead(cubic):
