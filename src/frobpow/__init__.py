@@ -39,6 +39,6 @@ from .polynomials import (
     poly_format,
     poly_parse,
 )
-from .rings import AssumptionMissing, GradedBasis, RingPresentation
+from .rings import AssumptionMissing, RingPresentation
 
 __version__ = "0.1.0"

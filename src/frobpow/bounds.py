@@ -12,26 +12,20 @@ the parameter case (top syzygy invertible) or under the user-asserted
 strongly_semistable flag, and every report records which.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
 from .rings import AssumptionMissing
 
 
-@dataclass(frozen=True)
-class KoszulInvariants:
-    """Rank/degree data of the j-th Koszul syzygy sheaf for generator degrees
-    d_1..d_n; degrees are recorded as multiples of the ambient degree."""
-
-    j: int
-    shift_degrees: tuple  # sums of (j+1) distinct d_i, sorted
-    rank: int
-    degree_coeff: int
-    slope_over_deg: Fraction
+# Rank/degree data of the j-th Koszul syzygy sheaf for generator degrees
+# d_1..d_n; degrees are recorded as multiples of the ambient degree, and
+# shift_degrees are the sums of (j+1) distinct d_i, sorted.
+KoszulInvariants = namedtuple(
+    "KoszulInvariants", "j shift_degrees rank degree_coeff slope_over_deg"
+)
 
 
 def koszul_invariants(degrees, j, dim_ring=None):

@@ -5,10 +5,10 @@ tight, frobenius.  Reports serialize deterministically (stable key order, no
 timestamps in the payload); timings live in a separate envelope field.
 
 Exit codes: 0 success, 1 computation refusal (missing assumption flag,
-matrix-size guard or Groebner degree cap), 2 input error.
+matrix-size guard or Groebner degree cap), 2 input error (including a
+problem file that cannot be read as UTF-8 text and an --out file that cannot
+be written).
 """
-
-from __future__ import annotations
 
 import argparse
 import csv
@@ -16,7 +16,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -39,18 +39,8 @@ class InputError(ValueError):
     pass
 
 
-@dataclass
-class ProblemFile:
-    ring: RingPresentation
-    ideal: IdealSpec
-
-
-@dataclass
-class Report:
-    kind: str
-    payload: dict
-    assumptions: tuple
-    timings: dict
+ProblemFile = namedtuple("ProblemFile", "ring ideal")
+Report = namedtuple("Report", "kind payload assumptions timings")
 
 
 # -- problem files ---------------------------------------------------------
@@ -265,7 +255,7 @@ def _cmd_bounds(pf, args):
     thresholds = {
         q: bounds_mod.inclusion_threshold(nu, a, q) for q in _q_list(ring.p, args.emax)
     }
-    payload = {
+    return {
         "nu": nu,
         "nu_provenance": provenance,
         "smith_bound": bounds_mod.smith_bound(degrees, ring.dim),
@@ -291,7 +281,6 @@ def _cmd_bounds(pf, args):
             "give a sharper nu",
         },
     }
-    return Report("bounds", payload, tuple(sorted(ring.flags)), {})
 
 
 def _cmd_koszul(pf, args):
@@ -309,7 +298,7 @@ def _cmd_koszul(pf, args):
                 "shift_degrees": list(ki.shift_degrees),
             }
         )
-    payload = {
+    return {
         "generator_degrees": list(degrees),
         "syzygies": entries,
         "citations": {
@@ -318,7 +307,6 @@ def _cmd_koszul(pf, args):
             "-C(n-1, i-1) * sum(d)",
         },
     }
-    return Report("koszul", payload, tuple(sorted(pf.ring.flags)), {})
 
 
 def _nu_for(pf):
@@ -340,23 +328,17 @@ def _engine(pf, args):
 
 
 def _cmd_kq(pf, args):
-    ring = pf.ring
     nu, provenance = _nu_for(pf)
     table = containment_table(
         _engine(pf, args), range(1, args.emax + 1), nu=nu, cap=args.cap
     )
-    payload = {
+    return {
         "nu": nu,
         "nu_provenance": provenance,
+        # cap_exceeded is printed only for a row whose search hit the cap
         "rows": [
-            {
-                "e": r.e,
-                "q": r.q,
-                "k_empirical": r.k_empirical,
-                "k_threshold": r.k_threshold,
-                "tight": r.tight,
-                **({} if r.cap_exceeded is None else {"cap_exceeded": r.cap_exceeded}),
-            }
+            {k: v for k, v in r._asdict().items()
+             if k != "cap_exceeded" or v is not None}
             for r in table
         ],
         "citations": {
@@ -365,7 +347,6 @@ def _cmd_kq(pf, args):
             "matrix equal to dim R_k",
         },
     }
-    return Report("kq", payload, tuple(sorted(ring.flags)), {})
 
 
 def _parse_elem(pf, text, what):
@@ -381,7 +362,7 @@ def _parse_elem(pf, text, what):
 def _cmd_member(pf, args):
     h = _parse_elem(pf, args.elem, "--elem")
     cert = _engine(pf, args).membership(args.q, h)
-    payload = {
+    return {
         "q": args.q,
         "element": poly_format(h, pf.ring.var_names),
         "degree": h.degree(),
@@ -396,7 +377,6 @@ def _cmd_member(pf, args):
             "certificate re-verified by normal-form reduction"
         },
     }
-    return Report("member", payload, tuple(sorted(pf.ring.flags)), {})
 
 
 def _cmd_tight(pf, args):
@@ -406,27 +386,26 @@ def _cmd_tight(pf, args):
     rep = tight_closure_witness_test(
         _engine(pf, args), f, c, range(1, args.emax + 1), nu=nu
     )
-    payload = {
+    return {
         "f": poly_format(f, pf.ring.var_names),
         "c": poly_format(c, pf.ring.var_names),
         "nu": nu,
-        "rows": [{"e": r.e, "q": r.q, "member": r.member} for r in rep.rows],
+        "rows": [r._asdict() for r in rep.rows],
         "notes": list(rep.notes),
         "citations": {
             "rows": "membership of c*f^q in I^[q] per tested q"
         },
     }
-    return Report("tight", payload, tuple(sorted(pf.ring.flags)), {})
 
 
 def _cmd_frobenius(pf, args):
     f = _parse_elem(pf, args.f, "--f")
     nu = _nu_or_none(pf)
     rep = frobenius_closure_test(_engine(pf, args), f, args.emax, nu=nu)
-    payload = {
+    return {
         "f": poly_format(f, pf.ring.var_names),
         "nu": nu,
-        "rows": [{"e": r.e, "q": r.q, "member": r.member} for r in rep.rows],
+        "rows": [r._asdict() for r in rep.rows],
         "found_e": rep.found_e,
         "predicted_sufficient_q": rep.predicted_sufficient_q,
         "citations": {
@@ -435,7 +414,6 @@ def _cmd_frobenius(pf, args):
             "valid when deg f > nu",
         },
     }
-    return Report("frobenius", payload, tuple(sorted(pf.ring.flags)), {})
 
 
 def _non_negative_int(text):
@@ -503,10 +481,13 @@ def run_command(argv):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.problem_file} is not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     try:
         pf = parse_problem_file(text)
-        report = _COMMANDS[args.command][0](pf, args)
+        payload = _COMMANDS[args.command][0](pf, args)
     except (InputError, PolyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -516,13 +497,18 @@ def run_command(argv):
     except MatrixTooLarge as exc:
         print(f"refusal: {exc}; pass --allow-large to proceed", file=sys.stderr)
         return 1
-    report.timings["seconds"] = round(time.perf_counter() - started, 3)
+    timings = {"seconds": round(time.perf_counter() - started, 3)}
+    report = Report(args.command, payload, tuple(sorted(pf.ring.flags)), timings)
     out = emit_report(report, args.fmt, include_timings=not args.no_timings)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(out)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out)
-    else:
-        sys.stdout.write(out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -27,11 +27,8 @@ give.  All of this is plain Python: a class is assembled as a
 class that fills in, imports numpy.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import linalg
 from .bounds import inclusion_threshold
@@ -110,83 +107,59 @@ def class_keys(echelon, vectors):
     return keys
 
 
-class Piece(NamedTuple):
-    """One class of the degree-m membership matrix: its rows (standard
-    monomials of R_m) and columns ((generator index, source monomial)
-    pairs), each in its relative order in the whole-degree matrix."""
-
-    m: int
-    key: tuple
-    rows: list
-    cols: list
+# One class of the degree-m membership matrix: its rows (standard monomials
+# of R_m) and columns ((generator index, source monomial) pairs), each in its
+# relative order in the whole-degree matrix.
+Piece = namedtuple("Piece", "key rows cols")
 
 
-@dataclass(frozen=True)
-class IdealSpec:
-    """Homogeneous generators of an R_+-primary ideal, degrees cached."""
+class IdealSpec(namedtuple("IdealSpec", "generators")):
+    """Homogeneous generators of an R_+-primary ideal, a nonempty tuple."""
 
-    generators: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.generators:
+    def __new__(cls, generators):
+        if not generators:
             raise ValueError("gens is empty")
-        for g in self.generators:
+        for g in generators:
             if g.is_zero() or not g.is_homogeneous():
                 raise ValueError("generator not homogeneous (or zero)")
-        object.__setattr__(self, "degrees", tuple(g.degree() for g in self.generators))
+        return super().__new__(cls, generators)
+
+    @property
+    def degrees(self):
+        """Generator degrees, in generator order."""
+        return tuple(g.degree() for g in self.generators)
 
     @classmethod
     def from_strings(cls, ring, texts):
         return cls(tuple(ring.parse(t) for t in texts))
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
-    """Verdict for element in I^[q], with coefficients h_i such that
-    element = sum h_i * f_i^q in R when member is true."""
-
-    member: bool
-    element: Polynomial
-    q: int
-    coefficients: tuple | None = None
-
-
-@dataclass(frozen=True)
-class ContainmentRow:
-    e: int
-    q: int
-    k_empirical: int | None  # None: not found within the cap (reported as data)
-    k_threshold: int | None
-    tight: bool | None
-    cap_exceeded: int | None = None
-
-
-@dataclass(frozen=True)
-class ClosureRow:
-    e: int
-    q: int
-    member: bool
-
-
-@dataclass(frozen=True)
-class TightClosureReport:
-    element: Polynomial
-    multiplier: Polynomial
-    rows: tuple
-    notes: tuple
-
-
-@dataclass(frozen=True)
-class FrobeniusClosureReport:
-    element: Polynomial
-    rows: tuple
-    found_e: int | None
-    predicted_sufficient_q: int | None
+# Verdict for element in I^[q], with coefficients h_i such that
+# element = sum h_i * f_i^q in R when member is true.
+MembershipCertificate = namedtuple(
+    "MembershipCertificate", "member element q coefficients", defaults=(None,)
+)
+# k_empirical and tight are None when no degree up to the cap passed; that
+# cap is then cap_exceeded (reported as data)
+ContainmentRow = namedtuple(
+    "ContainmentRow", "e q k_empirical k_threshold tight cap_exceeded",
+    defaults=(None,),
+)
+ClosureRow = namedtuple("ClosureRow", "e q member")
+TightClosureReport = namedtuple(
+    "TightClosureReport", "element multiplier rows notes"
+)
+FrobeniusClosureReport = namedtuple(
+    "FrobeniusClosureReport", "element rows found_e predicted_sufficient_q"
+)
 
 
 class MembershipEngine:
     """Membership/containment machinery for one (ring, ideal) pair; caches
-    normal forms of generator Frobenius powers and graded bases.
+    the normal forms of generator Frobenius powers (the ring caches graded
+    bases and monomial normal forms).
 
     check_matrix_size is the one place that sizes a membership matrix, by
     Hilbert function; the classes _pieces splits it into have exactly that
@@ -256,18 +229,18 @@ class MembershipEngine:
         shapes sum to check_matrix_size(q, m)."""
         ring = self.ring
         rows, cols = {}, {}
-        target = ring.graded_basis(m).monomials
+        target = ring.graded_basis(m)
         for key, mono in zip(self._classes(target), target):
             rows.setdefault(key, []).append(mono)
         for i, d in enumerate(self.ideal.degrees):
             if m < q * d:
                 continue
-            source = ring.graded_basis(m - q * d).monomials
+            source = ring.graded_basis(m - q * d)
             shift = tuple(q * a for a in self._exponents[i])
             for key, mono in zip(self._classes(source, shift), source):
                 cols.setdefault(key, []).append((i, mono))
         return [
-            Piece(m, key, rows.get(key, []), cols.get(key, []))
+            Piece(key, rows.get(key, []), cols.get(key, []))
             for key in {**rows, **cols}
         ]
 

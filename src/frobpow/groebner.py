@@ -6,8 +6,6 @@ pair selection is the normal strategy (smallest lcm in grevlex, ties by
 index), and a degree cap guards against runaway computations.
 """
 
-from __future__ import annotations
-
 from .polynomials import (
     Polynomial,
     grevlex_key,

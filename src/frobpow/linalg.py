@@ -32,8 +32,6 @@ halves.  An outer product (k = 1) is a broadcast multiply, which BLAS would
 not speed up, so it stays on integers.
 """
 
-from __future__ import annotations
-
 _PANEL = 128
 
 # entry updates the sparse phase may make before it hands a matrix to the

@@ -11,8 +11,6 @@ with them which of the valid membership certificates is reported, and the
 order of terms in ``poly_format``.
 """
 
-from __future__ import annotations
-
 import functools
 import re
 

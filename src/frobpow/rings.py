@@ -11,11 +11,8 @@ dualizing sheaf, smoothness) are user-asserted flags carried as metadata;
 nothing here verifies them.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
-from dataclasses import dataclass
 
 from .groebner import GroebnerBasis, buchberger, standard_monomials
 from .polynomials import Polynomial, check_prime, poly_parse
@@ -34,17 +31,6 @@ class AssumptionMissing(RuntimeError):
             f"refusing: assumption flag {flag!r} is not set. {why}"
         )
         self.flag = flag
-
-
-@dataclass(frozen=True)
-class GradedBasis:
-    """Standard monomials of one graded piece R_m, in grevlex order."""
-
-    degree: int
-    monomials: tuple
-
-    def __len__(self):
-        return len(self.monomials)
 
 
 class RingPresentation:
@@ -141,19 +127,19 @@ class RingPresentation:
         return self._gb
 
     def graded_basis(self, m):
-        """Standard monomials of degree m.  Their count is asserted to be
-        hilbert_dim(m): __init__ refuses every presentation for which it is
-        not, so a mismatch is a Groebner-basis or standard-monomial bug."""
+        """Standard monomials of degree m, as a tuple in grevlex order.  Their
+        count is asserted to be hilbert_dim(m): __init__ refuses every
+        presentation for which it is not, so a mismatch is a Groebner-basis
+        or standard-monomial bug."""
         basis = self._bases.get(m)
         if basis is None:
-            monos = tuple(standard_monomials(self._gb, m))
+            basis = tuple(standard_monomials(self._gb, m))
             expected = self.hilbert_dim(m)
-            if len(monos) != expected:
+            if len(basis) != expected:
                 raise AssertionError(
-                    f"standard-monomial count {len(monos)} != Hilbert dimension "
+                    f"standard-monomial count {len(basis)} != Hilbert dimension "
                     f"{expected} in degree {m} of a complete intersection"
                 )
-            basis = GradedBasis(m, monos)
             self._bases[m] = basis
         return basis
 

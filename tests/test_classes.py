@@ -166,13 +166,13 @@ def _whole_degree(eng, q, m):
     monomials, columns (i, mono) in generator then basis order."""
     ring = eng.ring
     target = ring.graded_basis(m)
-    index = {mono: r for r, mono in enumerate(target.monomials)}
+    index = {mono: r for r, mono in enumerate(target)}
     col_meta, entries = [], []
     for i, g in enumerate(eng.ideal.generators):
         if m < q * g.degree():
             continue
         gq = ring.normal_form(g.frobenius_power(q)).terms.items()
-        for mono in ring.graded_basis(m - q * g.degree()).monomials:
+        for mono in ring.graded_basis(m - q * g.degree()):
             coords = ring.reduce((monomial_mul(mono, t), c) for t, c in gq)
             entries += [(index[r], len(col_meta), c) for r, c in coords.items()]
             col_meta.append((i, mono))
@@ -186,7 +186,7 @@ def _reference_membership(eng, q, h, whole):
     """Certificate coefficients of the whole-degree solve, or None."""
     ring = eng.ring
     target, col_meta, A = whole
-    index = {mono: r for r, mono in enumerate(target.monomials)}
+    index = {mono: r for r, mono in enumerate(target)}
     hn = ring.normal_form(h)
     b = np.zeros(len(target), dtype=np.int64)
     for mono, c in hn.terms.items():

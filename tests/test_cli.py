@@ -230,6 +230,27 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert run_command(["bounds", str(tmp_path / "missing.fpb")]) == 2
 
 
+def test_problem_file_not_utf8_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "problem.fpb"
+    path.write_bytes(b"\xff\xfe" + PARAM_FPB.encode())
+    assert run_command(["bounds", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["missing/report.txt", "."])
+def test_unwritable_out_is_a_one_line_error(tmp_path, capsys, out):
+    path = write(tmp_path, PARAM_FPB)
+    target = tmp_path / out
+    assert run_command(["koszul", path, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("order", ["lex", "grlex"])
 def test_order_other_than_grevlex_is_an_input_error(tmp_path, capsys, order):
     path = write(tmp_path, PARAM_FPB + f"[options]\norder = {order}\n")
@@ -477,14 +498,15 @@ gens = x^3 ; y^3 ; z^3 ; w^3
 
 # runs the commands given as JSON in argv[1] with the sparse phase's update
 # budget set to argv[2] (empty: left as it is), and reports on stderr the exit
-# codes and whether numpy was ever imported
+# codes and whether numpy, dataclasses or inspect was ever imported
 NUMPY_PROBE = """\
 import json, sys
 from frobpow import cli, linalg
 if sys.argv[2]:
     linalg._BUDGET = int(sys.argv[2])
 codes = [cli.run_command(argv) for argv in json.loads(sys.argv[1])]
-sys.stderr.write(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+loaded = {m: m in sys.modules for m in ("numpy", "dataclasses", "inspect")}
+sys.stderr.write(json.dumps({"codes": codes, **loaded}))
 """
 
 
@@ -511,9 +533,10 @@ def test_numpy_is_loaded_only_when_a_class_needs_the_dense_finish(
         ["kq", fermat_cubic_file, "--emax", "2", "--format", "json", "--no-timings"],
     ]
     sparse_out, sparse = _probe(commands)
-    assert sparse == {"codes": [0, 0], "numpy": False}
+    assert sparse == {"codes": [0, 0], "numpy": False, "dataclasses": False,
+                      "inspect": False}
     # with no update budget, every class that needs a reduction goes dense
     dense_out, dense = _probe(commands, budget="0")
-    assert dense == {"codes": [0, 0], "numpy": True}
+    assert dense["codes"] == [0, 0] and dense["numpy"] is True
     assert dense_out == sparse_out
     assert '"member": true' in sparse_out and '"k_empirical": 22' in sparse_out

@@ -347,12 +347,15 @@ def test_frobenius_closure_finds_immediate_member(cubic):
 
 def test_ideal_spec_rejects_bad_generators():
     ring = poly_ring(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gens is empty"):
         IdealSpec(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"generator not homogeneous \(or zero\)"):
         IdealSpec((ring.parse("x^2+y"),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"generator not homogeneous \(or zero\)"):
         IdealSpec((Polynomial.zero(5, 2),))
+    ideal = IdealSpec((ring.parse("x^2"),))
+    with pytest.raises(AttributeError):
+        ideal.degrees = (3,)
 
 
 def test_engine_rejects_mismatched_ring():

@@ -67,18 +67,18 @@ def test_hilbert_eventually_polynomial():
 
 def test_graded_basis_degree_one(cubic):
     basis = cubic.graded_basis(1)
-    assert set(basis.monomials) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert basis.monomials == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert set(basis) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_graded_basis_degree_three_excludes_lead(cubic):
     basis = cubic.graded_basis(3)
     assert len(basis) == 9
-    assert (3, 0, 0) not in basis.monomials
+    assert (3, 0, 0) not in basis
 
 
 def test_graded_basis_degree_zero(cubic):
-    assert cubic.graded_basis(0).monomials == ((0, 0, 0),)
+    assert cubic.graded_basis(0) == ((0, 0, 0),)
 
 
 # -- numeric invariants ----------------------------------------------------
