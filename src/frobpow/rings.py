@@ -4,7 +4,10 @@ The constructor computes the Groebner basis and refuses relations that are
 not a complete intersection, the one place that rule is decided.  Carries the
 Hilbert function (by exact power series), graded bases of standard monomials
 (by Groebner data), the a-invariant and the regularity; the two routes to
-dim R_m are deliberately redundant and cross-asserted.
+dim R_m are deliberately redundant and cross-asserted.  Normal forms are
+memoized per monomial and use that Frobenius is a ring endomorphism of R:
+NF(x^(p*b + r)) is reduced from NF(x^b)^p, so a q-th power costs log_p(q)
+short reduction chains.
 
 Geometric hypotheses (normality, Cohen-Macaulayness, invertibility of the
 dualizing sheaf, smoothness) are user-asserted flags carried as metadata;
@@ -79,6 +82,9 @@ class RingPresentation:
             num += [0] * d
             for i in range(len(num) - 1, d - 1, -1):
                 num[i] -= num[i - d]
+        self._leads = tuple(
+            zip(self._gb.leading_monomials, self._gb.generators)
+        )
         self._bases = {}
         self._nf_cache = {}
 
@@ -145,45 +151,69 @@ class RingPresentation:
 
     # -- normal forms ------------------------------------------------------
 
+    def _reducer(self, mono):
+        """The first (leading monomial, generator) of the Groebner basis whose
+        leading monomial divides mono, or None when mono is standard."""
+        for lm, g in self._leads:
+            if all(a <= b for a, b in zip(lm, mono)):
+                return lm, g
+        return None
+
     def monomial_normal_form(self, mono):
         """Normal form of a single monomial modulo the relations, memoized.
 
-        Returns a dict monomial -> coefficient.  Iterative so that long
-        reduction chains (high Frobenius powers) cannot blow the stack.
+        Returns a dict monomial -> coefficient.  Write x^a = x^r * (x^b)^p,
+        b = a // p and r = a mod p componentwise.  When x^b is not standard,
+        NF(x^a) is the normal form of the sum of c x^(r + p*t) over the terms
+        c x^t of NF(x^b), as Frobenius is a ring endomorphism of R and
+        c^p = c in F_p; each t lies below x^b in grevlex, so each x^(r + p*t)
+        lies below x^a.  Otherwise x^a is reduced one leading-monomial step.
+        Iterative, on an explicit stack, so that long chains cannot blow the
+        stack.
         """
         cache = self._nf_cache
         hit = cache.get(mono)
         if hit is not None:
             return hit
-        leads = list(zip(self._gb.leading_monomials, self._gb.generators))
+        p = self.p
         stack = [mono]
         while stack:
             cur = stack[-1]
             if cur in cache:
                 stack.pop()
                 continue
-            reducer = None
-            for lm, g in leads:
-                if all(a <= b for a, b in zip(lm, cur)):
-                    reducer = (lm, g)
-                    break
+            reducer = self._reducer(cur)
             if reducer is None:
                 cache[cur] = {cur: 1}
                 stack.pop()
                 continue
-            lm, g = reducer
-            shift = tuple(b - a for a, b in zip(lm, cur))
-            # cur = x^shift * lm(g) and g is monic: in R, cur is the sum of neg_tail
-            neg_tail = [
-                (tuple(x + y for x, y in zip(m2, shift)), -c2)
-                for m2, c2 in g.terms.items()
-                if m2 != lm
-            ]
-            missing = [m2 for m2, _ in neg_tail if m2 not in cache]
+            base = tuple(e // p for e in cur)
+            # the guard: were x^base standard, the rule would give x^cur back
+            if self._reducer(base) is not None:
+                base_nf = cache.get(base)
+                if base_nf is None:
+                    stack.append(base)
+                    continue
+                rem = tuple(e % p for e in cur)
+                terms = [
+                    (tuple(r + p * e for r, e in zip(rem, t)), c)
+                    for t, c in base_nf.items()
+                ]
+            else:
+                lm, g = reducer
+                shift = tuple(b - a for a, b in zip(lm, cur))
+                # cur = x^shift * lm(g) and g is monic: in R, cur is the sum
+                # of the negated tail of x^shift * g
+                terms = [
+                    (tuple(x + y for x, y in zip(m2, shift)), -c2)
+                    for m2, c2 in g.terms.items()
+                    if m2 != lm
+                ]
+            missing = [m2 for m2, _ in terms if m2 not in cache]
             if missing:
                 stack.extend(missing)
                 continue
-            cache[cur] = self.reduce(neg_tail)
+            cache[cur] = self.reduce(terms)
             stack.pop()
         return cache[mono]
 

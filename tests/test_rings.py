@@ -201,8 +201,74 @@ def test_ring_normal_form_is_linear(cubic):
     assert lhs == rhs
 
 
-def test_deep_reduction_chain_does_not_overflow_stack(cubic):
-    f = cubic.parse("x^600")
-    nf = cubic.normal_form(f)
-    assert not nf.is_zero()
-    assert nf.is_homogeneous() and nf.degree() == 600
+def test_deep_reduction_chain_does_not_overflow_stack():
+    # p is above every exponent, so the Frobenius rule never applies and
+    # x^3001 = x * (x^2)^1500 reduces one step at a time: a chain 1500 deep,
+    # above the interpreter's recursion limit
+    ring = RingPresentation(65537, XY, [poly_parse("x^2+y^2", XY, 65537)])
+    nf = ring.normal_form(ring.parse("x^3001"))
+    assert nf == ring.parse("x*y^3000")
+    assert len(ring._nf_cache) > 1500
+
+
+def _quadrics_ring():
+    """The first complete intersection of two random quadrics in F_3[x,y,z,w]
+    drawn from seed 0; its Groebner basis has a cubic."""
+    rng = random.Random(0)
+    quads = list(monomials_of_degree(4, 2))
+    while True:
+        rels = [
+            Polynomial(3, 4, {m: rng.randint(1, 2) for m in rng.sample(quads, 5)})
+            for _ in range(2)
+        ]
+        try:
+            return RingPresentation(3, ("x", "y", "z", "w"), rels)
+        except ValueError:
+            continue
+
+
+NF_RINGS = {
+    "cubic_p2": lambda: fermat_cubic_ring(2),
+    "cubic_p7": lambda: fermat_cubic_ring(7),
+    "quartic_p3": lambda: fermat_quartic_ring(3),
+    "quadrics_p3": _quadrics_ring,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NF_RINGS))
+def test_normal_form_matches_plain_division(name):
+    # Differential test of the Frobenius rule against groebner.normal_form,
+    # which divides step by step.  The monomials are x^(p^2 * lm) times a
+    # monomial of degree up to p^2, lm a leading monomial, so x^(a // p^2)
+    # is not standard and the rule nests at least twice.
+    from frobpow.groebner import normal_form
+
+    ring = NF_RINGS[name]()
+    p, n, gb = ring.p, ring.num_vars, ring.groebner_basis()
+    rng = random.Random(p)
+    for lm in gb.leading_monomials:
+        for extra in (0, 1, p, p * p):
+            s = rng.choice(list(monomials_of_degree(n, extra)))
+            a = tuple(p * p * x + y for x, y in zip(lm, s))
+            f = Polynomial(p, n, {a: 1})
+            assert ring.normal_form(f) == normal_form(f, gb), a
+            assert tuple(e // (p * p) for e in a) in ring._nf_cache
+    # Frobenius powers of random linear forms up to q = p^3, of quadrics up to
+    # p^2 (plain division of a quadric's 343rd power takes seconds)
+    for d, top in ((1, p**3), (2, p * p)):
+        f = Polynomial(
+            p, n, {m: rng.randint(1, p - 1) for m in monomials_of_degree(n, d)}
+        )
+        q = p
+        while q <= top:
+            fq = f.frobenius_power(q)
+            assert ring.normal_form(fq) == normal_form(fq, gb), (d, q)
+            q *= p
+
+
+def test_frobenius_rule_keeps_the_cache_small():
+    # reduced one leading-monomial step at a time, NF(x^686) would leave
+    # 26,335 cache entries holding 798,035 terms
+    ring = fermat_cubic_ring(7)
+    ring.monomial_normal_form((686, 0, 0))
+    assert len(ring._nf_cache) < 1000
