@@ -22,9 +22,10 @@ from .rings import AssumptionMissing
 
 # Rank/degree data of the j-th Koszul syzygy sheaf for generator degrees
 # d_1..d_n; degrees are recorded as multiples of the ambient degree, and
-# shift_degrees are the sums of (j+1) distinct d_i, sorted.
+# shift_degrees are the sums of (j+1) distinct d_i, sorted.  The fields are
+# in the order the koszul report prints them.
 KoszulInvariants = namedtuple(
-    "KoszulInvariants", "j shift_degrees rank degree_coeff slope_over_deg"
+    "KoszulInvariants", "j rank degree_coeff slope_over_deg shift_degrees"
 )
 
 
@@ -60,7 +61,7 @@ def koszul_invariants(degrees, j, dim_ring=None):
         sorted(sum(s) for s in combinations(degrees, min(j + 1, n)))
     )
     slope = Fraction(degree_coeff, rank) if rank else Fraction(0)
-    return KoszulInvariants(j, shifts, rank, degree_coeff, slope)
+    return KoszulInvariants(j, rank, degree_coeff, slope, shifts)
 
 
 def nu_strongly_semistable(degrees, dim_ring):

@@ -200,13 +200,11 @@ def emit_report(report, fmt="text", include_timings=True):
         if report.kind != "kq":
             raise InputError("csv output is only defined for kq tables")
         buf = io.StringIO()
+        columns = ("e", "q", "k_empirical", "k_threshold", "tight")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["e", "q", "k_empirical", "k_threshold", "tight"])
+        writer.writerow(columns)
         for row in report.payload["rows"]:
-            writer.writerow(
-                [row["e"], row["q"], row["k_empirical"], row["k_threshold"],
-                 row["tight"]]
-            )
+            writer.writerow([row[c] for c in columns])
         return buf.getvalue()
     if fmt == "text":
         lines = [f"report: {report.kind}"]
@@ -289,15 +287,7 @@ def _cmd_koszul(pf, args):
     entries = []
     for j in range(1, n):
         ki = bounds_mod.koszul_invariants(degrees, j, pf.ring.dim)
-        entries.append(
-            {
-                "j": ki.j,
-                "rank": ki.rank,
-                "degree_coeff": ki.degree_coeff,
-                "slope_over_deg": ki.slope_over_deg,
-                "shift_degrees": list(ki.shift_degrees),
-            }
-        )
+        entries.append(dict(ki._asdict(), shift_degrees=list(ki.shift_degrees)))
     return {
         "generator_degrees": list(degrees),
         "syzygies": entries,

@@ -1,5 +1,6 @@
-"""Buchberger's algorithm, normal forms and standard-monomial enumeration,
-all in grevlex, the package's one monomial order.
+"""Buchberger's algorithm, normal forms and the standard monomials of each
+degree (one recursion pruned by leading monomials), all in grevlex, the
+package's one monomial order.
 
 Desk-scale inputs only: pair pruning uses just the coprime-lead criterion,
 pair selection is the normal strategy (smallest lcm in grevlex, ties by
@@ -144,6 +145,8 @@ def buchberger(gens, degree_cap=512):
 
 def monomials_of_degree(num_vars, m):
     """All exponent tuples of total degree m, as a generator."""
+    if m < 0:
+        return
     if num_vars == 0:
         if m == 0:
             yield ()
@@ -160,38 +163,32 @@ def standard_monomials(gb, m):
     """Degree-m monomials not divisible by any leading monomial of gb,
     sorted descending in grevlex; an F_p-basis of (R/ideal)_m.
 
-    Exponents are chosen one variable at a time, and a prefix is dropped as
-    soon as a leading monomial supported on the prefix's variables divides
-    it; the variables after the last one any leading monomial involves take
-    every monomial of the remaining degree at once.
+    One recursion fixes x_0, x_1, ... in turn, exponents ascending, and the
+    last variable takes the rest of the degree.  Each lead, cut to x_0..x_i,
+    is tested when its last variable x_i is fixed; a divisor ends x_i's loop.
     """
+    if m < 0:
+        return []
     n = gb.num_vars
-    leads = gb.leading_monomials
-    lasts = [max((i for i, e in enumerate(lm) if e), default=0) for lm in leads]
-    # prefix variables x_0..x_{split-1}; the tail keeps at least the last
-    # variable, which takes up the remaining degree
-    split = max(0, min(n - 1, max(lasts, default=-1) + 1))
     # by_last[i]: leads whose last variable is x_i, cut to x_0..x_i
-    by_last = [[] for _ in range(split)]
-    for lm, last in zip(leads, lasts):
-        if last < split:
-            by_last[last].append(lm[: last + 1])
+    by_last = [[] for _ in range(n)]
+    for lm in gb.leading_monomials:
+        last = max((i for i, e in enumerate(lm) if e), default=0)
+        by_last[last].append(lm[: last + 1])
+    out = []
 
-    def prefixes(i, prefix, deg):
-        if i == split:
-            yield prefix, deg
+    def walk(i, prefix, deg):
+        if i == n:
+            if deg == m:  # false only for a ring with no variables and m > 0
+                out.append(prefix)
             return
-        for e in range(m - deg + 1):
+        leads = by_last[i]
+        for e in range(m - deg + 1) if i < n - 1 else (m - deg,):
             ext = prefix + (e,)
             # a lead dividing ext divides it for every larger exponent of x_i
-            if any(monomial_divides(lm, ext) for lm in by_last[i]):
+            if leads and any(monomial_divides(lm, ext) for lm in leads):
                 break
-            yield from prefixes(i + 1, ext, deg + e)
+            walk(i + 1, ext, deg + e)
 
-    out = []
-    for prefix, deg in prefixes(0, (), 0):
-        for tail in monomials_of_degree(n - split, m - deg):
-            mono = prefix + tail
-            if not any(monomial_divides(lm, mono) for lm in leads):
-                out.append(mono)
+    walk(0, (), 0)
     return sorted(out, key=grevlex_key, reverse=True)

@@ -192,20 +192,22 @@ def test_standard_monomials_exclude_leading_monomial():
     assert (3, 0, 0) not in monos
 
 
-@pytest.mark.parametrize("num_vars", [1, 2, 3, 4])
+@pytest.mark.parametrize("num_vars", [1, 2, 3, 4, 5])
 def test_standard_monomials_match_filtering_every_monomial(num_vars):
     # leading monomials of random monomial ideals (a set of monomials is its
-    # own Groebner basis), the unit monomial included now and then
+    # own Groebner basis), the unit monomial included now and then; degree -1
+    # has no monomials at all
+    assert list(monomials_of_degree(num_vars, -1)) == []
     rng = random.Random(num_vars)
     for _ in range(60):
         leads = {
-            tuple(rng.randint(0, 3) for _ in range(num_vars))
+            tuple(rng.randint(0, 4) for _ in range(num_vars))
             for _ in range(rng.randint(0, 4))
         }
         gb = GroebnerBasis(
             [Polynomial(5, num_vars, {lm: 1}) for lm in leads], num_vars
         )
-        for m in range(7):
+        for m in range(-1, 10):
             expected = sorted(
                 (
                     mono

@@ -39,6 +39,10 @@ def test_hilbert_polynomial_ring_two_vars():
 
 def test_hilbert_negative_degree_is_zero():
     assert fermat_cubic_ring().hilbert_dim(-3) == 0
+    # and the basis is empty: in one variable the last variable must not take
+    # the negative remaining degree
+    assert fermat_cubic_ring().graded_basis(-3) == ()
+    assert poly_ring(2, ("x",)).graded_basis(-1) == ()
 
 
 def test_hilbert_matches_standard_monomial_count():
