@@ -109,27 +109,26 @@ def chardin_constant(degrees, dim_ring):
     return sum(sorted(degrees, reverse=True)[:take])
 
 
-def regularity_bound_constants(degrees, dim_ring, ring):
+def regularity_bound_constants(degrees, ring):
     """(C1, C0) for the linear regularity bound reg(I^[q]) <= C1*q + C0.
 
-    C1 = max(d_i, j * sum(d) / (n-1) for j = 1..t) under the
-    strongly_semistable flag; C0 = max(reg(R), a-invariant).
+    C1 = max(d_i, j * sum(d) / (n-1) for j = 1..dim R - 1) under the
+    strongly_semistable flag; C0 = max(reg(R), a-invariant); dim R is
+    ring.dim.
 
     For two parameters on a curve (n = dim R = 2) the only syzygy involved is
     an invertible sheaf, so no semistability assumption is needed.
     """
-    unconditional = len(tuple(degrees)) == dim_ring == 2
+    degrees = tuple(degrees)
+    unconditional = len(degrees) == ring.dim == 2
     if "strongly_semistable" not in ring.flags and not unconditional:
         raise AssumptionMissing(
             "strongly_semistable",
             "the slope constants for C1 require strongly semistable Koszul "
             "syzygies; the unconditional minimal slope is not computable here",
         )
-    degrees = tuple(degrees)
-    n = len(degrees)
-    t = dim_ring - 1
-    slopes = [-koszul_invariants(degrees, j, dim_ring).slope_over_deg
-              for j in range(1, t + 1)]
+    slopes = [-koszul_invariants(degrees, j, ring.dim).slope_over_deg
+              for j in range(1, ring.dim)]
     c1 = max([Fraction(max(degrees))] + slopes)
     c0 = max(ring.regularity(), ring.a_invariant())
     return c1, c0

@@ -240,19 +240,14 @@ def _text_lines(value, indent=""):
 # -- subcommands -----------------------------------------------------------
 
 
-def _q_list(p, emax):
-    return [p**e for e in range(emax + 1)]
-
-
 def _cmd_bounds(pf, args):
     ring = pf.ring
     degrees = pf.ideal.degrees
     nu, provenance = bounds_mod.compute_nu(degrees, ring.dim, ring.flags)
     a = ring.a_invariant()
-    c1, c0 = bounds_mod.regularity_bound_constants(degrees, ring.dim, ring)
-    thresholds = {
-        q: bounds_mod.inclusion_threshold(nu, a, q) for q in _q_list(ring.p, args.emax)
-    }
+    c1, c0 = bounds_mod.regularity_bound_constants(degrees, ring)
+    qs = [ring.p**e for e in range(args.emax + 1)]
+    thresholds = {q: bounds_mod.inclusion_threshold(nu, a, q) for q in qs}
     return {
         "nu": nu,
         "nu_provenance": provenance,
@@ -299,15 +294,11 @@ def _cmd_koszul(pf, args):
     }
 
 
-def _nu_for(pf):
-    return bounds_mod.compute_nu(pf.ideal.degrees, pf.ring.dim, pf.ring.flags)
-
-
 def _nu_or_none(pf):
     """nu, or None when the ring's flags do not establish it: the closure
     tests then run without the slope-bound guarantee and prediction."""
     try:
-        return _nu_for(pf)[0]
+        return bounds_mod.compute_nu(pf.ideal.degrees, pf.ring.dim, pf.ring.flags)[0]
     except (AssumptionMissing, ValueError):
         return None
 
@@ -318,7 +309,7 @@ def _engine(pf, args):
 
 
 def _cmd_kq(pf, args):
-    nu, provenance = _nu_for(pf)
+    nu, provenance = bounds_mod.compute_nu(pf.ideal.degrees, pf.ring.dim, pf.ring.flags)
     table = containment_table(
         _engine(pf, args), range(1, args.emax + 1), nu=nu, cap=args.cap
     )

@@ -18,13 +18,14 @@ relation, Groebner-basis element, f_i^q and normal form is homogeneous for
 the grading by Z^N/L, so the matrix is block diagonal by class: row mono
 meets column (i, mono') only if class(mono) = class(mono' + q * exp(f_i)).
 A class is keyed by its canonical representative (``class_keys``).  One pass
-per (q, m) sorts rows and columns into classes (``Piece``), keeping their
-relative order; membership assembles and solves only the classes of NF(h),
-and containment ranks one class at a time.  Classes share no rows and no
-columns, so every pivot and certificate is the one a whole-degree solve would
-give.  All of this is plain Python: a class is assembled as a
-``linalg.SparseMatrix`` of dict rows, and only linalg's dense finish, for a
-class that fills in, imports numpy.
+per (q, m) builds the class map {key: ``Piece``}, rows and columns kept in
+relative order.  Membership solves only the classes of NF(h): false only when
+one has no solution, true only once the certificate re-verifies.  Containment
+ranks one class at a time.  Classes share no rows and no columns, so every
+pivot and certificate is the one a whole-degree solve would give.  All of
+this is plain Python: a class is assembled as a ``linalg.SparseMatrix`` of
+dict rows, and only linalg's dense finish, for a class that fills in,
+imports numpy.
 """
 
 from collections import namedtuple
@@ -110,7 +111,7 @@ def class_keys(echelon, vectors):
 # One class of the degree-m membership matrix: its rows (standard monomials
 # of R_m) and columns ((generator index, source monomial) pairs), each in its
 # relative order in the whole-degree matrix.
-Piece = namedtuple("Piece", "key rows cols")
+Piece = namedtuple("Piece", "rows cols")
 
 
 class IdealSpec(namedtuple("IdealSpec", "generators")):
@@ -223,26 +224,25 @@ class MembershipEngine:
         return [moved[key] for key in keys]
 
     def _pieces(self, q, m):
-        """The degree-m matrix for q split by class, as Pieces in order of
-        first appearance: one pass over the rows and one over the columns.
-        A generator power that is zero in R still gives its columns, so the
-        shapes sum to check_matrix_size(q, m)."""
+        """The class map of the degree-m matrix for q: {class key: Piece},
+        keys in order of first appearance, from one pass over the rows and
+        one over the columns.  A source degree m - q*d below 0 has an empty
+        basis, and a generator power that is zero in R still gives its
+        columns, so the shapes sum to check_matrix_size(q, m)."""
         ring = self.ring
         rows, cols = {}, {}
         target = ring.graded_basis(m)
         for key, mono in zip(self._classes(target), target):
             rows.setdefault(key, []).append(mono)
         for i, d in enumerate(self.ideal.degrees):
-            if m < q * d:
-                continue
             source = ring.graded_basis(m - q * d)
             shift = tuple(q * a for a in self._exponents[i])
             for key, mono in zip(self._classes(source, shift), source):
                 cols.setdefault(key, []).append((i, mono))
-        return [
-            Piece(key, rows.get(key, []), cols.get(key, []))
+        return {
+            key: Piece(rows.get(key, []), cols.get(key, []))
             for key in {**rows, **cols}
-        ]
+        }
 
     def _assemble(self, q, piece):
         """Rows, columns and sparse matrix of one class of the degree-m
@@ -270,20 +270,14 @@ class MembershipEngine:
         self.check_matrix_size(q, m)
         ring = self.ring
         hn = ring.normal_form(h)
-        if hn.is_zero():
-            zero = tuple(
-                Polynomial.zero(ring.p, ring.num_vars) for _ in self.ideal.generators
-            )
-            return MembershipCertificate(True, h, q, zero)
         # I^[q] is L-homogeneous: h is a member exactly when each class
-        # component of NF(h) is, and the solution is 0 on every other class
-        pieces = {piece.key: piece for piece in self._pieces(q, m)}
+        # component of NF(h) is, and the solution is 0 on every other class;
+        # a zero NF(h) touches no class and needs no class map
+        touched = dict.fromkeys(self._classes(list(hn.terms)))
+        pieces = self._pieces(q, m) if touched else {}
         coeff_terms = [dict() for _ in self.ideal.generators]
-        for key in dict.fromkeys(self._classes(list(hn.terms))):
-            piece = pieces[key]
-            if not piece.cols:
-                return MembershipCertificate(False, h, q)
-            rows, col_meta, A = self._assemble(q, piece)
+        for key in touched:
+            rows, col_meta, A = self._assemble(q, pieces[key])
             b = [hn.terms.get(mono, 0) for mono in rows]
             x = linalg.solve_mod(A, b, ring.p)
             if x is None:
@@ -291,9 +285,7 @@ class MembershipEngine:
             for (i, mono), v in zip(col_meta, x):
                 if v:
                     coeff_terms[i][mono] = v
-        coeffs = tuple(
-            Polynomial(ring.p, ring.num_vars, t) for t in coeff_terms
-        )
+        coeffs = tuple(Polynomial(ring.p, ring.num_vars, t) for t in coeff_terms)
         self._verify_certificate(q, h, coeffs)
         return MembershipCertificate(True, h, q, coeffs)
 
@@ -328,7 +320,7 @@ class MembershipEngine:
         verdict = self._shape_verdict(q, k)
         if verdict is not None:
             return verdict
-        pieces = self._pieces(q, k)
+        pieces = self._pieces(q, k).values()
         if any(len(piece.cols) < len(piece.rows) for piece in pieces):
             return False
         for piece in pieces:

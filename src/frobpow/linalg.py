@@ -38,7 +38,10 @@ _PANEL = 128
 # dense finish.  At 0.2-0.4 us each, a matrix that fills in loses at most
 # about 0.25 s before it goes dense; the largest class the package is known
 # to meet that stays sparse (c * f^27 on the Fermat quartic at p = 3, 1431 x
-# 2244) takes 682,175
+# 2244) takes 682,175.  The same query at q = 81 is a 13041 x 20301 class
+# that also stays sparse, yet it passes the budget and goes dense: 235 s at
+# a 3.3 GB peak on two cores, against about 13 s and 342 MB with the sparse
+# phase alone
 _BUDGET = 3 << 18
 
 

@@ -163,26 +163,26 @@ def test_inclusion_threshold_matches_rational_oracle():
 
 def test_regularity_constants_fermat_cubic():
     ring = fermat_cubic_ring()
-    c1, c0 = regularity_bound_constants((2, 2, 2), ring.dim, ring)
+    c1, c0 = regularity_bound_constants((2, 2, 2), ring)
     assert (c1, c0) == (3, 2)  # bound 3q + 2
 
 
 def test_regularity_constants_parameters_on_plane_curve():
     ring = fermat_cubic_ring(flags=("cohen_macaulay",))  # no semistability flag
-    c1, c0 = regularity_bound_constants((1, 2), ring.dim, ring)
+    c1, c0 = regularity_bound_constants((1, 2), ring)
     assert c1 == 3  # max(d1, d2, d1+d2)
 
 
 def test_regularity_constants_fermat_quartic():
     ring = fermat_quartic_ring()
-    c1, c0 = regularity_bound_constants((3, 3, 3, 3), ring.dim, ring)
+    c1, c0 = regularity_bound_constants((3, 3, 3, 3), ring)
     assert (c1, c0) == (8, 3)  # slopes 4 and 8 at j = 1, 2
 
 
 def test_regularity_constants_refuse_without_flag():
     ring = fermat_cubic_ring(flags=("cohen_macaulay",))
     with pytest.raises(AssumptionMissing):
-        regularity_bound_constants((2, 2, 2), ring.dim, ring)
+        regularity_bound_constants((2, 2, 2), ring)
 
 
 # -- chardin comparison ----------------------------------------------------

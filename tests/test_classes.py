@@ -219,7 +219,7 @@ def _elements(eng, rng, q, m):
                                   rng.randrange(1, p)})
             member = member + r * g.frobenius_power(q)
     out.append(member)
-    empty = [piece.rows[0] for piece in eng._pieces(q, m)
+    empty = [piece.rows[0] for piece in eng._pieces(q, m).values()
              if piece.rows and not piece.cols]
     if empty:
         out.append(Polynomial(p, n, {empty[0]: 1}))
@@ -241,7 +241,7 @@ def test_class_split_matches_the_whole_degree_matrix(p):
                 eng.ideal.degrees)
             for m in range(low, low + 3):
                 whole = _whole_degree(eng, q, m)
-                pieces = eng._pieces(q, m)
+                pieces = eng._pieces(q, m).values()
                 seen_split += len(pieces) > 1
                 # rank: the class ranks add up to the whole rank
                 rank = linalg.rank_mod(whole[2], p)

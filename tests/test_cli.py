@@ -230,6 +230,31 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert run_command(["bounds", str(tmp_path / "missing.fpb")]) == 2
 
 
+@pytest.mark.parametrize("text, extra, message", [
+    ("char = 3\n" + PARAM_FPB, [], "line 1: content before any section header"),
+    (PARAM_FPB.replace("char = 3", "char 7"), [], "expected 'key = value'"),
+    (PARAM_FPB.replace("char = 3\n", ""), [], "missing required key 'char' in [ring]"),
+    (PARAM_FPB.replace("vars = x y", "vars ="), [], "no variables declared"),
+    (PARAM_FPB.replace("vars = x y", "vars = x y\nrelations = 1"), [],
+     "[ring]: relation degrees must be >= 1"),
+    (PARAM_FPB.replace("vars = x y", "vars = x\nrelations = x").replace(" ; y", ""),
+     [], "[ring]: need dim R = N - r >= 1"),
+    (PARAM_FPB, ["--elem", "x^"], "expected integer"),
+    (PARAM_FPB, ["--elem", "x*"], "expected variable after '*'"),
+    (PARAM_FPB, ["--elem", "x +"], "expected term"),
+    (PARAM_FPB, ["--elem", "x $"], "unexpected character '$'"),
+    (PARAM_FPB, ["--elem", ""], "empty polynomial"),
+])
+def test_input_errors_are_one_line_with_exit_2(tmp_path, capsys, text, extra, message):
+    path = write(tmp_path, text)
+    assert run_command(["member", path, "--q", "3", "--elem", "x^3", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert message in captured.err
+
+
 def test_problem_file_not_utf8_is_a_one_line_error(tmp_path, capsys):
     path = tmp_path / "problem.fpb"
     path.write_bytes(b"\xff\xfe" + PARAM_FPB.encode())

@@ -85,6 +85,49 @@ def test_zero_element_is_member():
     assert cert.member and all(c.is_zero() for c in cert.coefficients)
 
 
+def test_zero_normal_form_is_a_verified_member(cubic_squares, monkeypatch):
+    # x * (x^3 + y^3 + z^3) is zero in R: it touches no class, so no class
+    # map is built, and its zero certificate is still re-verified
+    ring, ideal = cubic_squares
+    eng = MembershipEngine(ring, ideal)
+    verified, verify = [], MembershipEngine._verify_certificate
+
+    def recorded(self, q, h, coeffs):
+        verified.append(coeffs)
+        return verify(self, q, h, coeffs)
+
+    def no_class_map(self, q, m):
+        raise AssertionError(f"class map built in degree {m} for q={q}")
+
+    monkeypatch.setattr(MembershipEngine, "_verify_certificate", recorded)
+    monkeypatch.setattr(MembershipEngine, "_pieces", no_class_map)
+    h = ring.parse("x") * ring.parse("x^3+y^3+z^3")
+    assert not h.is_zero() and ring.normal_form(h).is_zero()
+    cert = eng.membership(7, h)
+    assert cert.member
+    assert len(cert.coefficients) == 3
+    assert all(c.is_zero() for c in cert.coefficients)
+    assert verified == [cert.coefficients]
+
+
+def test_class_without_columns_is_decided_by_the_solve(cubic_squares, monkeypatch):
+    # x^3 in degree 3 < 7 * 2: every class has rows and no columns, and the
+    # negative verdict is the solve's answer on the 2 x 0 system of the
+    # class of NF(x^3) = -y^3 - z^3
+    ring, ideal = cubic_squares
+    eng = MembershipEngine(ring, ideal)
+    solved, solve_mod = [], linalg.solve_mod
+
+    def recorded(A, b, p):
+        x = solve_mod(A, b, p)
+        solved.append((A.shape, x))
+        return x
+
+    monkeypatch.setattr(linalg, "solve_mod", recorded)
+    assert eng.membership(7, ring.parse("x^3")) == (False, ring.parse("x^3"), 7, None)
+    assert solved == [((2, 0), None)]
+
+
 def test_membership_matches_span_oracle_over_f2():
     """Exhaustive 0/1-combination oracle against the linear-algebra path."""
     ring = poly_ring(2)
@@ -343,6 +386,20 @@ def test_frobenius_closure_finds_immediate_member(cubic):
     assert len(rep.rows) == 1  # scan stops at the first success
 
 
+def test_containment_and_closure_tests_reject_bad_inputs(cubic_squares):
+    ring, ideal = cubic_squares
+    eng = MembershipEngine(ring, ideal)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        eng.degree_containment(7, -1)
+    f, c = ring.parse("z^2+x"), ring.parse("x")
+    with pytest.raises(ValueError, match="must be homogeneous"):
+        tight_closure_witness_test(eng, f, c, range(1, 2))
+    with pytest.raises(ValueError, match="must be homogeneous"):
+        tight_closure_witness_test(eng, c, f, range(1, 2))
+    with pytest.raises(ValueError, match="must be homogeneous"):
+        frobenius_closure_test(eng, f, 1)
+
+
 # -- IdealSpec validation --------------------------------------------------
 
 def test_ideal_spec_rejects_bad_generators():
@@ -440,7 +497,8 @@ def test_deficit_degree_is_decided_before_assembly(cubic_squares, no_assembly):
 
 def _class_shapes_sum(eng, q, m):
     # the shape of the whole-degree matrix, as the sum of its classes'
-    shapes = [eng._assemble(q, piece)[2].shape for piece in eng._pieces(q, m)]
+    pieces = eng._pieces(q, m).values()
+    shapes = [eng._assemble(q, piece)[2].shape for piece in pieces]
     return tuple(map(sum, zip(*shapes)))
 
 

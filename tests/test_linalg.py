@@ -177,6 +177,13 @@ def test_empty_matrices():
     assert solve_mod(np.zeros((3, 0), dtype=int), np.array([0, 2, 0]), p) is None
 
 
+def test_solve_rejects_a_right_side_of_the_wrong_length():
+    A = SparseMatrix((2, 3), [{0: 1}, {2: 1}])
+    for b in ([1], [1, 0, 0]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve_mod(A, b, 5)
+
+
 # -- every prime the parser accepts ------------------------------------------
 
 # at 1291 the trailing update after a 40-pivot panel has k * (p-1)**2 just
