@@ -294,25 +294,16 @@ def _cmd_koszul(pf, args):
     }
 
 
-def _nu_or_none(pf):
-    """nu, or None when the ring's flags do not establish it: the closure
-    tests then run without the slope-bound guarantee and prediction."""
-    try:
-        return bounds_mod.compute_nu(pf.ideal.degrees, pf.ring.dim, pf.ring.flags)[0]
-    except (AssumptionMissing, ValueError):
-        return None
-
-
 def _engine(pf, args):
     max_entries = None if args.allow_large else MAX_MATRIX_ENTRIES
     return MembershipEngine(pf.ring, pf.ideal, max_entries=max_entries)
 
 
 def _cmd_kq(pf, args):
+    # kq refuses without nu (exit 1, or 2 when n < dim R), and reports
+    # where it comes from
     nu, provenance = bounds_mod.compute_nu(pf.ideal.degrees, pf.ring.dim, pf.ring.flags)
-    table = containment_table(
-        _engine(pf, args), range(1, args.emax + 1), nu=nu, cap=args.cap
-    )
+    table = containment_table(_engine(pf, args), args.emax, cap=args.cap)
     return {
         "nu": nu,
         "nu_provenance": provenance,
@@ -363,14 +354,12 @@ def _cmd_member(pf, args):
 def _cmd_tight(pf, args):
     f = _parse_elem(pf, args.f, "--f")
     c = _parse_elem(pf, args.c, "--c")
-    nu = _nu_or_none(pf)
-    rep = tight_closure_witness_test(
-        _engine(pf, args), f, c, range(1, args.emax + 1), nu=nu
-    )
+    engine = _engine(pf, args)
+    rep = tight_closure_witness_test(engine, f, c, args.emax)
     return {
         "f": poly_format(f, pf.ring.var_names),
         "c": poly_format(c, pf.ring.var_names),
-        "nu": nu,
+        "nu": engine.nu,
         "rows": [r._asdict() for r in rep.rows],
         "notes": list(rep.notes),
         "citations": {
@@ -381,11 +370,11 @@ def _cmd_tight(pf, args):
 
 def _cmd_frobenius(pf, args):
     f = _parse_elem(pf, args.f, "--f")
-    nu = _nu_or_none(pf)
-    rep = frobenius_closure_test(_engine(pf, args), f, args.emax, nu=nu)
+    engine = _engine(pf, args)
+    rep = frobenius_closure_test(engine, f, args.emax)
     return {
         "f": poly_format(f, pf.ring.var_names),
-        "nu": nu,
+        "nu": engine.nu,
         "rows": [r._asdict() for r in rep.rows],
         "found_e": rep.found_e,
         "predicted_sufficient_q": rep.predicted_sufficient_q,
@@ -469,6 +458,11 @@ def run_command(argv):
     try:
         pf = parse_problem_file(text)
         payload = _COMMANDS[args.command][0](pf, args)
+        timings = {"seconds": round(time.perf_counter() - started, 3)}
+        report = Report(args.command, payload, tuple(sorted(pf.ring.flags)), timings)
+        # inside the handlers: an integer past Python's str-conversion digit
+        # limit raises ValueError here
+        out = emit_report(report, args.fmt, include_timings=not args.no_timings)
     except (InputError, PolyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -478,9 +472,6 @@ def run_command(argv):
     except MatrixTooLarge as exc:
         print(f"refusal: {exc}; pass --allow-large to proceed", file=sys.stderr)
         return 1
-    timings = {"seconds": round(time.perf_counter() - started, 3)}
-    report = Report(args.command, payload, tuple(sorted(pf.ring.flags)), timings)
-    out = emit_report(report, args.fmt, include_timings=not args.no_timings)
     if not args.out:
         sys.stdout.write(out)
         return 0

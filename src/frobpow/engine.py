@@ -29,11 +29,11 @@ imports numpy.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from . import linalg
-from .bounds import inclusion_threshold
+from .bounds import compute_nu, inclusion_threshold
 from .polynomials import Polynomial, check_p_power, monomial_mul
+from .rings import AssumptionMissing
 
 EVIDENCE_NOTE = (
     "finite evidence only: tight-closure membership quantifies over all "
@@ -168,11 +168,14 @@ class MembershipEngine:
     containment from the whole shape alone, assembling nothing, when the
     matrix has no rows or fewer columns than rows.
 
+    ``nu``, the slope constant of the inclusion bound, is derived from the
+    ring's flags by bounds.compute_nu (None when they do not establish it);
+    every threshold, guarantee and prediction reads it here.
+
     With ``max_entries`` set, no membership matrix with more entries is ever
     assembled: operations raise MatrixTooLarge instead.  min_containment_degree
-    checks its cap's matrix first; containment_table,
-    tight_closure_witness_test and frobenius_closure_test check every query
-    they plan, up to the last q, before running the first.
+    checks its cap's matrix first; containment_table and the closure tests
+    size each query as they build it, and run none until all have passed.
     """
 
     def __init__(self, ring, ideal, max_entries=None):
@@ -191,6 +194,10 @@ class MembershipEngine:
         # q times that of any one term
         self._exponents = tuple(next(iter(g.terms)) for g in ideal.generators)
         self._fq_cache = {}
+        try:
+            self.nu = compute_nu(ideal.degrees, ring.dim, ring.flags)[0]
+        except (AssumptionMissing, ValueError):
+            self.nu = None
 
     def _generator_power(self, i, q):
         key = (i, q)
@@ -330,13 +337,19 @@ class MembershipEngine:
                     return False
         return True
 
-    def default_cap(self, q, nu=None):
-        """Search cap for the minimal containment degree: predicted threshold
-        plus slack 8 when nu is known, else q * sum(d_i) + N."""
-        if nu is not None:
-            a = self.ring.a_invariant()
-            return inclusion_threshold(Fraction(nu), a, q) + 8
-        return q * sum(self.ideal.degrees) + self.ring.num_vars
+    def threshold(self, q):
+        """The inclusion threshold, least m > q * nu + a; None without nu."""
+        if self.nu is None:
+            return None
+        return inclusion_threshold(self.nu, self.ring.a_invariant(), q)
+
+    def default_cap(self, q):
+        """Search cap for the minimal containment degree: threshold(q) plus
+        slack 8 when nu is derivable, else q * sum(d_i) + N."""
+        k = self.threshold(q)
+        if k is None:
+            return q * sum(self.ideal.degrees) + self.ring.num_vars
+        return k + 8
 
     def min_containment_degree(self, q, cap=None):
         """Minimal k <= cap with R_k (hence R_{>=k}) inside I^[q].
@@ -363,27 +376,29 @@ class MembershipEngine:
         return hi
 
 
-def _checked_plan(engine, e_list, query, degree=Polynomial.degree):
-    """The queries (e, q, query(q)) for q = p^e, returned only once the
-    matrix of each, in degree degree(query(q)), has passed the size guard."""
-    p = engine.ring.p
-    plan = [(e, p**e, query(p**e)) for e in e_list]
-    for _, q, x in plan:
+def _checked_plan(engine, first, emax, query, degree=Polynomial.degree):
+    """The queries (e, q, query(q)) for q = p^e, e = first..emax, returned
+    only once the matrix of each, in degree degree(query(q)), has passed the
+    size guard; each is sized as it is built, so none past a refusal is."""
+    plan = []
+    for e in range(first, emax + 1):
+        q = engine.ring.p**e
+        x = query(q)
         engine.check_matrix_size(q, degree(x))
+        plan.append((e, q, x))
     return plan
 
 
-def containment_table(engine, e_list, nu=None, cap=None):
-    """k_empirical(q) vs the theoretical threshold across q = p^e, as a tuple
-    of ContainmentRow."""
+def containment_table(engine, emax, cap=None):
+    """k_empirical(q) vs engine.threshold(q) for q = p^e, e = 1..emax, as a
+    tuple of ContainmentRow; each search stops at cap or engine.default_cap."""
     plan = _checked_plan(
-        engine, e_list, lambda q: engine.default_cap(q, nu) if cap is None else cap,
+        engine, 1, emax, lambda q: engine.default_cap(q) if cap is None else cap,
         degree=lambda k: k,
     )
-    a = engine.ring.a_invariant() if nu is not None else None
     rows = []
     for e, q, k_cap in plan:
-        k_thy = inclusion_threshold(Fraction(nu), a, q) if nu is not None else None
+        k_thy = engine.threshold(q)
         try:
             k_emp = engine.min_containment_degree(q, cap=k_cap)
         except NotFoundWithinCap as exc:
@@ -394,49 +409,44 @@ def containment_table(engine, e_list, nu=None, cap=None):
     return tuple(rows)
 
 
-def tight_closure_witness_test(engine, f, c, e_range, nu=None):
-    """Test c * f^q in I^[q] for each e; finite evidence for f in I*, never a
-    proof."""
+def tight_closure_witness_test(engine, f, c, emax):
+    """Test c * f^q in I^[q] for q = p^e, e = 1..emax; finite evidence for f
+    in I*, never a proof, with the slope-bound guarantee when engine.nu gives it."""
     if c.is_zero():
         raise ValueError("witness multiplier c must be nonzero")
     if not f.is_homogeneous() or not c.is_homogeneous():
         raise ValueError("f and c must be homogeneous")
-    plan = _checked_plan(engine, e_range, lambda q: c * f.frobenius_power(q))
+    plan = _checked_plan(engine, 1, emax, lambda q: c * f.frobenius_power(q))
     rows = [ClosureRow(e, q, engine.membership(q, h).member) for e, q, h in plan]
     notes = [EVIDENCE_NOTE]
-    if nu is not None:
-        a = engine.ring.a_invariant()
-        if Fraction(f.degree()) >= Fraction(nu) and c.degree() > a:
-            notes.append(
-                f"guarantee: deg(f) = {f.degree()} >= nu = {nu} and "
-                f"deg(c) = {c.degree()} > a = {a}, so every test is predicted "
-                "to pass (f lies in the tight closure by the slope bound)"
-            )
+    nu, a = engine.nu, engine.ring.a_invariant()
+    if nu is not None and f.degree() >= nu and c.degree() > a:
+        notes.append(
+            f"guarantee: deg(f) = {f.degree()} >= nu = {nu} and "
+            f"deg(c) = {c.degree()} > a = {a}, so every test is predicted "
+            "to pass (f lies in the tight closure by the slope bound)"
+        )
     return TightClosureReport(f, c, tuple(rows), tuple(notes))
 
 
-def frobenius_closure_test(engine, f, e_max, nu=None):
-    """Smallest e <= e_max with f^{p^e} in I^[p^e], or none.
+def frobenius_closure_test(engine, f, emax):
+    """Smallest e <= emax with f^{p^e} in I^[p^e], or none.
 
-    When nu is supplied and deg(f) > nu, also reports the predicted
+    When engine.nu is derivable and deg(f) > nu, also reports the predicted
     sufficient q: the smallest p^e with q * (deg(f) - nu) > a.
     """
     if not f.is_homogeneous():
         raise ValueError("f must be homogeneous")
-    plan = _checked_plan(engine, range(e_max + 1), f.frobenius_power)
+    plan = _checked_plan(engine, 0, emax, f.frobenius_power)
     rows = []
     for e, q, h in plan:
         rows.append(ClosureRow(e, q, engine.membership(q, h).member))
         if rows[-1].member:
             break
     found = rows[-1].e if rows and rows[-1].member else None
-    predicted = None
-    if nu is not None and not f.is_zero():
-        excess = Fraction(f.degree()) - Fraction(nu)
-        if excess > 0:
-            a = engine.ring.a_invariant()
-            q = 1
-            while not Fraction(q) * excess > a:
-                q *= engine.ring.p
-            predicted = q
+    predicted, nu = None, engine.nu
+    if nu is not None and not f.is_zero() and f.degree() > nu:
+        predicted, a = 1, engine.ring.a_invariant()
+        while not predicted * (f.degree() - nu) > a:
+            predicted *= engine.ring.p
     return FrobeniusClosureReport(f, tuple(rows), found, predicted)

@@ -265,6 +265,21 @@ def test_problem_file_not_utf8_is_a_one_line_error(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_report_past_the_int_digit_limit_is_a_one_line_input_error(tmp_path, capsys):
+    # q = p^460 at p = 4294967291 has over 4300 digits, past Python's default
+    # limit on int-to-str conversion; the message differs between versions
+    if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 4300:
+        pytest.skip("needs Python's default int-to-str digit limit")
+    text = FERMAT_CUBIC_FPB.replace("char = 7", "char = 4294967291")
+    path = write(tmp_path, text)
+    for fmt in ("text", "json"):
+        assert run_command(["bounds", path, "--emax", "460", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("out", ["missing/report.txt", "."])
 def test_unwritable_out_is_a_one_line_error(tmp_path, capsys, out):
     path = write(tmp_path, PARAM_FPB)

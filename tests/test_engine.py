@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from frobpow.groebner import monomials_of_degree
 from frobpow.polynomials import Polynomial, poly_parse
 from frobpow.rings import RingPresentation
 
-from conftest import fermat_cubic_ring, fermat_quartic_ring
+from conftest import ALL_FLAGS, fermat_cubic_ring, fermat_quartic_ring
 
 XY = ("x", "y")
 
@@ -189,14 +190,14 @@ def test_min_containment_degree_parameter_closed_form():
         eng = engine_for(ring, ["x", "y"])
         for e in (1, 2, 3):
             q = p**e
-            cap = eng.default_cap(q, 2)
+            cap = eng.default_cap(q)
             assert eng.min_containment_degree(q, cap=cap) == 2 * q - 1
 
 
 def test_min_containment_degree_fermat_cubic(cubic_squares):
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)
-    assert eng.min_containment_degree(7, cap=eng.default_cap(7, 3)) == 22
+    assert eng.min_containment_degree(7, cap=eng.default_cap(7)) == 22
 
 
 def test_cap_too_small_raises(cubic_squares):
@@ -281,7 +282,7 @@ def test_search_starts_above_the_last_hilbert_deficit(cubic_squares, monkeypatch
 
     monkeypatch.setattr(MembershipEngine, "_pieces", recorded)
     monkeypatch.setattr(linalg, "rank_mod", counted)
-    assert eng.min_containment_degree(7, cap=eng.default_cap(7, 3)) == 22
+    assert eng.min_containment_degree(7, cap=eng.default_cap(7)) == 22
     assert split == [21, 22]
     assert set(ranked) == {22}
 
@@ -294,12 +295,56 @@ def test_non_primary_ideal_never_contains():
         eng.min_containment_degree(3, cap=30)
 
 
+# -- the slope constant nu, derived from the flags -------------------------
+
+def test_nu_of_a_parameter_ideal_is_the_degree_sum_without_flags():
+    eng = engine_for(fermat_cubic_ring(flags=()), ["x^2", "y^3"])
+    assert eng.nu == 5
+
+
+def test_nu_under_strong_semistability_is_an_exact_fraction():
+    # (dim R - 1) * sum(d) / (n - 1) with n > dim R: 1 * 5 / 2, then 2 * 12 / 3
+    eng = engine_for(fermat_cubic_ring(), ["x^2", "y^2", "z"])
+    assert isinstance(eng.nu, Fraction) and eng.nu == Fraction(5, 2)
+    eng = engine_for(fermat_quartic_ring(), ["x^3", "y^3", "z^3", "w^3"])
+    assert eng.nu == 8
+
+
+@pytest.mark.parametrize("flags, gens", [
+    (ALL_FLAGS[:3], ["x^2", "y^2", "z^2"]),  # n > dim R, no strongly_semistable
+    (ALL_FLAGS, ["x^2"]),  # n < dim R
+])
+def test_nu_is_none_when_the_flags_do_not_establish_it(flags, gens):
+    eng = engine_for(fermat_cubic_ring(flags=flags), gens)
+    assert eng.nu is None and eng.threshold(7) is None
+    assert eng.default_cap(7) == 7 * sum(eng.ideal.degrees) + 3
+
+
+@pytest.mark.parametrize("flags", [ALL_FLAGS, ALL_FLAGS[:3]])
+def test_threshold_guarantee_and_prediction_follow_the_flags(flags):
+    # the same queries with and without strongly_semistable: only the parts
+    # that rest on nu = 3 change
+    ring = fermat_cubic_ring(flags=flags)
+    eng = engine_for(ring, ["x^2", "y^2", "z^2"])
+    derived = "strongly_semistable" in flags
+    assert eng.nu == (3 if derived else None)
+    (row,) = containment_table(eng, 1)
+    assert row.k_empirical == 22
+    assert (row.k_threshold, row.tight) == ((22, True) if derived else (None, None))
+    rep = tight_closure_witness_test(eng, ring.parse("x*y*z"), ring.parse("x"), 1)
+    assert [r.member for r in rep.rows] == [True]
+    assert any("guarantee" in n for n in rep.notes) == derived
+    rep = frobenius_closure_test(eng, ring.parse("x*y*z^2"), 0)
+    assert rep.found_e == 0
+    assert rep.predicted_sufficient_q == (1 if derived else None)
+
+
 # -- containment tables ----------------------------------------------------
 
 def test_containment_table_fermat_cubic(cubic_squares):
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)
-    table = containment_table(eng, [1], nu=3)
+    table = containment_table(eng, 1)
     (row,) = table
     assert (row.e, row.q) == (1, 7)
     assert row.k_empirical == 22 and row.k_threshold == 22 and row.tight
@@ -309,7 +354,7 @@ def test_containment_table_fermat_cubic(cubic_squares):
 def test_containment_table_reports_cap_overflow():
     ring = poly_ring(3)
     eng = engine_for(ring, ["x^2"])
-    table = containment_table(eng, [1], cap=12)
+    table = containment_table(eng, 1, cap=12)
     (row,) = table
     assert row.k_empirical is None and row.cap_exceeded == 12
 
@@ -328,9 +373,7 @@ def test_reverse_containment_of_frobenius_powers():
 def test_tight_closure_witness_classic_curve_example(cubic):
     # z^2 lies in the tight closure of (x, y): deg = nu = 2 and deg(c) > a = 0
     eng = engine_for(cubic, ["x", "y"])
-    rep = tight_closure_witness_test(
-        eng, cubic.parse("z^2"), cubic.parse("x"), range(1, 3), nu=2
-    )
+    rep = tight_closure_witness_test(eng, cubic.parse("z^2"), cubic.parse("x"), 2)
     assert [r.member for r in rep.rows] == [True, True]
     assert [r.q for r in rep.rows] == [7, 49]
     assert any("guarantee" in n for n in rep.notes)
@@ -355,23 +398,19 @@ def test_quartic_witness_at_q27_is_a_verified_member():
 
 def test_tight_closure_no_guarantee_note_below_slope(cubic):
     eng = engine_for(cubic, ["x", "y"])
-    rep = tight_closure_witness_test(
-        eng, cubic.parse("z"), cubic.parse("x"), range(1, 2), nu=2
-    )
+    rep = tight_closure_witness_test(eng, cubic.parse("z"), cubic.parse("x"), 1)
     assert not any("guarantee" in n for n in rep.notes)
 
 
 def test_tight_closure_rejects_zero_multiplier(cubic):
     eng = engine_for(cubic, ["x", "y"])
     with pytest.raises(ValueError):
-        tight_closure_witness_test(
-            eng, cubic.parse("z^2"), Polynomial.zero(7, 3), range(1, 2)
-        )
+        tight_closure_witness_test(eng, cubic.parse("z^2"), Polynomial.zero(7, 3), 1)
 
 
 def test_frobenius_closure_z2_stays_outside(cubic):
     eng = engine_for(cubic, ["x", "y"])
-    rep = frobenius_closure_test(eng, cubic.parse("z^2"), 2, nu=2)
+    rep = frobenius_closure_test(eng, cubic.parse("z^2"), 2)
     assert rep.found_e is None
     assert [r.member for r in rep.rows] == [False, False, False]
     assert rep.predicted_sufficient_q is None  # deg f = nu, no strict excess
@@ -380,7 +419,7 @@ def test_frobenius_closure_z2_stays_outside(cubic):
 def test_frobenius_closure_finds_immediate_member(cubic):
     # z^3 = -x^3 - y^3 is already in (x, y); excess over nu predicts q = 1
     eng = engine_for(cubic, ["x", "y"])
-    rep = frobenius_closure_test(eng, cubic.parse("z^3"), 2, nu=2)
+    rep = frobenius_closure_test(eng, cubic.parse("z^3"), 2)
     assert rep.found_e == 0
     assert rep.predicted_sufficient_q == 1
     assert len(rep.rows) == 1  # scan stops at the first success
@@ -393,9 +432,9 @@ def test_containment_and_closure_tests_reject_bad_inputs(cubic_squares):
         eng.degree_containment(7, -1)
     f, c = ring.parse("z^2+x"), ring.parse("x")
     with pytest.raises(ValueError, match="must be homogeneous"):
-        tight_closure_witness_test(eng, f, c, range(1, 2))
+        tight_closure_witness_test(eng, f, c, 1)
     with pytest.raises(ValueError, match="must be homogeneous"):
-        tight_closure_witness_test(eng, c, f, range(1, 2))
+        tight_closure_witness_test(eng, c, f, 1)
     with pytest.raises(ValueError, match="must be homogeneous"):
         frobenius_closure_test(eng, f, 1)
 
@@ -450,11 +489,9 @@ def test_size_guard_refuses_each_operation_before_assembly(
     with pytest.raises(MatrixTooLarge):
         eng.degree_containment(7, 22)
     with pytest.raises(MatrixTooLarge):
-        containment_table(eng, [1], nu=3)
+        containment_table(eng, 1)
     with pytest.raises(MatrixTooLarge):
-        tight_closure_witness_test(
-            eng, ring.parse("x^3"), ring.parse("x"), range(1, 2)
-        )
+        tight_closure_witness_test(eng, ring.parse("x^3"), ring.parse("x"), 1)
     with pytest.raises(MatrixTooLarge):
         frobenius_closure_test(eng, ring.parse("x^3"), 1)
 
@@ -464,6 +501,46 @@ def test_search_refuses_at_its_cap_before_assembly(cubic_squares, no_assembly):
     eng = MembershipEngine(ring, ideal, max_entries=1000)
     with pytest.raises(MatrixTooLarge, match="degree 30 for q=7"):
         eng.min_containment_degree(7, cap=30)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The q of every query a closure test or a k(q) table builds."""
+    qs = []
+    power, cap = Polynomial.frobenius_power, MembershipEngine.default_cap
+
+    def counted_power(self, q):
+        qs.append(q)
+        return power(self, q)
+
+    def counted_cap(self, q):
+        qs.append(q)
+        return cap(self, q)
+
+    monkeypatch.setattr(Polynomial, "frobenius_power", counted_power)
+    monkeypatch.setattr(MembershipEngine, "default_cap", counted_cap)
+    return qs
+
+
+def test_planning_stops_building_at_the_first_refused_query(
+    cubic_squares, no_assembly, built
+):
+    # with emax = 50, no query past the first one over the cap is built
+    ring, ideal = cubic_squares
+    f, c = ring.parse("z^2"), ring.parse("x")
+    eng = MembershipEngine(ring, ideal, max_entries=1000)
+    with pytest.raises(MatrixTooLarge, match="degree 99 for q=49"):
+        tight_closure_witness_test(eng, f, c, 50)
+    assert built == [7, 49]
+    built.clear()
+    with pytest.raises(MatrixTooLarge, match="degree 686 for q=343"):
+        frobenius_closure_test(eng, f, 50)
+    assert built == [1, 7, 49, 343]
+    built.clear()
+    eng = MembershipEngine(ring, ideal, max_entries=20_000)
+    with pytest.raises(MatrixTooLarge, match="degree 156 for q=49"):
+        containment_table(eng, 50)
+    assert built == [7, 49]
 
 
 def test_size_guard_checks_every_piece_first():

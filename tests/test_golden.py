@@ -1,7 +1,8 @@
 """Byte-for-byte replay of recorded ``--no-timings`` reports.
 
 Each case runs one CLI command on ``tests/golden/problem.fpb`` (the problem
-file of the README) and compares its stdout with the recording
+file of the README) or, for the ``*_no_nu`` cases, on the same problem without
+the strongly_semistable flag, and compares its stdout with the recording
 ``tests/golden/<name>``.  Reports made with ``--no-timings`` are meant to stay
 byte-identical across refactors, so a failure here is an output change.
 Rewrite the recordings only when such a change is intended:
@@ -19,6 +20,9 @@ from frobpow.cli import run_command
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 PROBLEM = GOLDEN / "problem.fpb"
+# the README problem without strongly_semistable: n = 3 > dim R = 2, so nu is
+# not derivable, and the closure reports carry no guarantee and no prediction
+PROBLEM_NO_NU = GOLDEN / "problem_no_nu.fpb"
 
 # the six README examples, then kq as csv and a membership that fails
 _README = {
@@ -38,6 +42,17 @@ CASES["kq.csv"] = _README["kq"] + ["--format", "csv"]
 CASES["member_non_member.json"] = [
     "member", "--q", "7", "--elem", "x^6*y^7*z^7", "--format", "json"
 ]
+_NO_NU = {
+    "tight_no_nu": _README["tight"],
+    "frobenius_no_nu": ["frobenius", "--emax", "2", "--f", "x*y*z"],
+}
+for name, argv in _NO_NU.items():
+    for fmt, ext in (("text", "txt"), ("json", "json")):
+        CASES[f"{name}.{ext}"] = argv + ["--format", fmt]
+
+
+def _problem(case):
+    return PROBLEM_NO_NU if case.split(".")[0] in _NO_NU else PROBLEM
 
 
 def _argv(case, problem):
@@ -45,7 +60,8 @@ def _argv(case, problem):
     return argv[:1] + [str(problem)] + argv[1:] + ["--no-timings"]
 
 
-def _stdout(case, problem=PROBLEM):
+def _stdout(case, problem=None):
+    problem = problem or _problem(case)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = run_command(_argv(case, problem))
@@ -61,7 +77,7 @@ def test_golden_output(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output_without_options_section(case, tmp_path):
     # grevlex is the only order, so [options] may be left out
-    text = PROBLEM.read_text()
+    text = _problem(case).read_text()
     problem = tmp_path / "problem.fpb"
     problem.write_text(text[: text.index("[options]")])
     assert "[options]" in text and "order" not in problem.read_text()
