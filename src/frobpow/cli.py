@@ -5,9 +5,9 @@ tight, frobenius.  Reports serialize deterministically (stable key order, no
 timestamps in the payload); timings live in a separate envelope field.
 
 Exit codes: 0 success, 1 computation refusal (missing assumption flag,
-matrix-size guard or Groebner degree cap), 2 input error (including a
-problem file that cannot be read as UTF-8 text and an --out file that cannot
-be written).
+matrix-size guard, Groebner degree cap, or memory that cannot be allocated),
+2 input error (including a problem file that cannot be read as UTF-8 text and
+an --out file that cannot be written).
 """
 
 import argparse
@@ -155,21 +155,6 @@ def parse_problem_file(text):
     except ValueError as exc:
         raise InputError(f"[ideal]: {exc}")
     return ProblemFile(ring, ideal)
-
-
-def format_problem_file(pf):
-    """Inverse of parse_problem_file, up to whitespace and comments."""
-    ring = pf.ring
-    lines = ["[ring]", f"char = {ring.p}", f"vars = {' '.join(ring.var_names)}"]
-    if ring.relations:
-        rels = " ; ".join(poly_format(h, ring.var_names) for h in ring.relations)
-        lines.append(f"relations = {rels}")
-    lines.append("[ideal]")
-    gens = " ; ".join(poly_format(g, ring.var_names) for g in pf.ideal.generators)
-    lines.append(f"gens = {gens}")
-    if ring.flags:
-        lines += ["[assumptions]", f"flags = {' '.join(sorted(ring.flags))}"]
-    return "\n".join(lines) + "\n"
 
 
 # -- serialization ---------------------------------------------------------
@@ -471,6 +456,11 @@ def run_command(argv):
         return 1
     except MatrixTooLarge as exc:
         print(f"refusal: {exc}; pass --allow-large to proceed", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # numpy's allocation failures subclass MemoryError; an abort inside
+        # BLAS cannot be caught
+        print("refusal: out of memory", file=sys.stderr)
         return 1
     if not args.out:
         sys.stdout.write(out)

@@ -13,12 +13,14 @@ of any dense elimination, and the order of rows is free to follow sparsity,
 after Markowitz (Management Science 1957).  The sparse phase never mixes rows
 of different connected blocks, so block structure costs nothing.
 
-The sparse phase counts entry updates.  A matrix that needs more than
-``_BUDGET`` of them fills in too much to be worth eliminating in Python: the
-pivot rows made so far and the rows not yet reduced, which span the same row
-space as the input, are stacked into a numpy array and finished by
+Both take only a ``SparseMatrix``, the type the engine builds.  The sparse
+phase counts entry updates.  Past ``_BUDGET`` of them, and at each doubling
+of the count, a matrix whose pivot rows hold on average at least ``_FILL`` of
+the width has filled in: they and the rows not yet reduced, which span the
+same row space as the input, are stacked into a numpy array and finished by
 ``row_echelon_mod`` (the sparse-then-dense split of Faugere-Lachartre, PASCO
-2010).  numpy is imported there, on first use, and nowhere else.
+2010).  A matrix whose pivot rows stay sparse is finished in Python.  numpy
+is imported in the dense finish and ``SparseMatrix.__array__``, nowhere else.
 
 ``row_echelon_mod`` runs blocked (right-looking LU style) in panels of
 ``_PANEL`` columns: a panel is eliminated with per-pivot vectorized updates
@@ -34,22 +36,27 @@ not speed up, so it stays on integers.
 
 _PANEL = 128
 
-# entry updates the sparse phase may make before it hands a matrix to the
-# dense finish.  At 0.2-0.4 us each, a matrix that fills in loses at most
-# about 0.25 s before it goes dense; the largest class the package is known
-# to meet that stays sparse (c * f^27 on the Fermat quartic at p = 3, 1431 x
-# 2244) takes 682,175.  The same query at q = 81 is a 13041 x 20301 class
-# that also stays sparse, yet it passes the budget and goes dense: 235 s at
-# a 3.3 GB peak on two cores, against about 13 s and 342 MB with the sparse
-# phase alone
+# entry updates the sparse phase makes before it first asks whether the
+# matrix has filled in.  At 0.2-0.4 us each, a matrix that fills in loses at
+# most about 0.25 s before it goes dense; c * f^27 on the Fermat quartic at
+# p = 3 (a 1431 x 2244 class) takes 682,175 and never asks
 _BUDGET = 3 << 18
+
+# the mean pivot-row length, as a share of the width, at which the sparse
+# phase hands a matrix to the dense finish.  Measured when the update count
+# passes _BUDGET (two cores): the q = 81 class of the same quartic query
+# (13041 x 20301) reads 0.07% and ends at 0.13%, and 120 scrambled dense
+# 30 x 30 blocks read 0.38%; sparse alone they take about 2 s and 0.2 s,
+# dense 221 s at 3.3 GB and 6.6 s.  A class of a random cubic that fills in
+# (2461 x 4216, 2.8% dense) reads 1.45%, and a random matrix of the same
+# shape 21.5%; sparse alone they run for minutes, dense about 6 s
+_FILL = 0.0075
 
 
 class SparseMatrix:
     """An n x m matrix as one dict {column: value} per row, zeros left out.
 
-    ``np.asarray`` gives its dense form, which only the dense finish asks
-    for."""
+    ``np.asarray`` gives its dense form, which the dense finish asks for."""
 
     __slots__ = ("shape", "rows")
 
@@ -71,30 +78,21 @@ class SparseMatrix:
 
 
 def _sparse_rows(A, p):
-    """(column count, rows of A reduced mod p as fresh dicts) for a
-    SparseMatrix or anything ``np.asarray`` takes as a 2-D integer array."""
-    if isinstance(A, SparseMatrix):
-        pairs = [row.items() for row in A.rows]
-    else:
-        import numpy as np
-
-        A = np.asarray(A)
-        pairs = []
-        for row in A:
-            nz = np.flatnonzero(row)
-            pairs.append(zip(nz.tolist(), row[nz].tolist()))
-    return A.shape[1], [{j: w for j, v in r if (w := v % p)} for r in pairs]
+    """(column count, rows of the SparseMatrix A reduced mod p, fresh dicts)."""
+    rows = [{j: w for j, v in row.items() if (w := v % p)} for row in A.rows]
+    return A.shape[1], rows
 
 
-def _eliminate(rows, p):
+def _eliminate(rows, width, p):
     """Sparse phase: (pivots, rest).  pivots maps each pivot column found to
     its row, scaled to 1 there and zero before it.  rest is None when every
-    row is reduced, else the rows still to reduce when the update count
-    passed _BUDGET; the pivot rows and rest then span the input's row
-    space.  The dicts in rows are reduced in place."""
+    row is reduced, else the rows still to reduce when the pivot rows filled
+    in (see _FILL) to the given width; the pivot rows and rest then span the
+    input's row space.  The dicts in rows are reduced in place."""
     rows = sorted(rows, key=len)
     pivots = {}
-    work = 0
+    work = stored = 0
+    check = _BUDGET
     for k, row in enumerate(rows):
         while row:
             c = min(row)
@@ -104,9 +102,12 @@ def _eliminate(rows, p):
                 if inv != 1:
                     row = {j: v * inv % p for j, v in row.items()}
                 pivots[c] = row
+                stored += len(row)
                 break
-            if work > _BUDGET:
-                return pivots, rows[k:]
+            if work > check:
+                if stored >= _FILL * width * len(pivots):
+                    return pivots, rows[k:]
+                check = 2 * work
             work += len(piv)
             f = p - row[c]
             get = row.get
@@ -213,9 +214,9 @@ def row_echelon_mod(M, p):
 
 
 def rank_mod(A, p):
-    """Rank over F_p of a SparseMatrix or a 2-D integer array."""
+    """Rank over F_p of a SparseMatrix."""
     m, rows = _sparse_rows(A, p)
-    pivots, rest = _eliminate(rows, p)
+    pivots, rest = _eliminate(rows, m, p)
     if rest is None:
         return len(pivots)
     return len(row_echelon_mod(_dense(pivots, rest, m, p), p))
@@ -245,7 +246,7 @@ def _solve_augmented(M, p):
 def solve_mod(A, b, p):
     """One solution x of A x = b over F_p (free variables set to 0), as a
     list of ints, or None if the system is inconsistent.  A is a
-    SparseMatrix or a 2-D integer array, b a sequence of integers."""
+    SparseMatrix, b a sequence of integers."""
     m, rows = _sparse_rows(A, p)
     b = [int(v) % p for v in b]
     if len(b) != len(rows):
@@ -254,7 +255,7 @@ def solve_mod(A, b, p):
     for row, v in zip(rows, b):
         if v:
             row[m] = v
-    pivots, rest = _eliminate(rows, p)
+    pivots, rest = _eliminate(rows, m + 1, p)
     if rest is not None:
         return _solve_augmented(_dense(pivots, rest, m + 1, p), p)
     if m in pivots:

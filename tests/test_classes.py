@@ -167,19 +167,17 @@ def _whole_degree(eng, q, m):
     ring = eng.ring
     target = ring.graded_basis(m)
     index = {mono: r for r, mono in enumerate(target)}
-    col_meta, entries = [], []
+    col_meta, rows = [], [{} for _ in target]
     for i, g in enumerate(eng.ideal.generators):
         if m < q * g.degree():
             continue
         gq = ring.normal_form(g.frobenius_power(q)).terms.items()
         for mono in ring.graded_basis(m - q * g.degree()):
             coords = ring.reduce((monomial_mul(mono, t), c) for t, c in gq)
-            entries += [(index[r], len(col_meta), c) for r, c in coords.items()]
+            for r, c in coords.items():
+                rows[index[r]][len(col_meta)] = c
             col_meta.append((i, mono))
-    A = np.zeros((len(target), len(col_meta)), dtype=np.int64)
-    for r, j, c in entries:
-        A[r, j] = c
-    return target, col_meta, A
+    return target, col_meta, linalg.SparseMatrix((len(target), len(col_meta)), rows)
 
 
 def _reference_membership(eng, q, h, whole):
@@ -188,7 +186,7 @@ def _reference_membership(eng, q, h, whole):
     target, col_meta, A = whole
     index = {mono: r for r, mono in enumerate(target)}
     hn = ring.normal_form(h)
-    b = np.zeros(len(target), dtype=np.int64)
+    b = [0] * len(target)
     for mono, c in hn.terms.items():
         b[index[mono]] = c
     x = linalg.solve_mod(A, b, ring.p)

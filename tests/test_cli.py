@@ -6,10 +6,10 @@ import sys
 import pytest
 
 import frobpow
+from frobpow import linalg
 from frobpow.cli import (
     InputError,
     emit_report,
-    format_problem_file,
     parse_problem_file,
     run_command,
 )
@@ -94,17 +94,6 @@ def test_parse_line_numbers_in_errors():
     with pytest.raises(InputError) as err:
         parse_problem_file(PARAM_FPB.replace("char = 3", "char = 4"))
     assert "line 2" in str(err.value)
-
-
-def test_format_parse_roundtrip():
-    for text in (FERMAT_CUBIC_FPB, PARAM_FPB):
-        pf = parse_problem_file(text)
-        again = parse_problem_file(format_problem_file(pf))
-        assert again.ring.p == pf.ring.p
-        assert again.ring.var_names == pf.ring.var_names
-        assert again.ring.relations == pf.ring.relations
-        assert again.ring.flags == pf.ring.flags
-        assert again.ideal.generators == pf.ideal.generators
 
 
 # -- commands end to end ---------------------------------------------------
@@ -580,3 +569,21 @@ def test_numpy_is_loaded_only_when_a_class_needs_the_dense_finish(
     assert dense["codes"] == [0, 0] and dense["numpy"] is True
     assert dense_out == sparse_out
     assert '"member": true' in sparse_out and '"k_empirical": 22' in sparse_out
+
+
+def test_memory_error_in_the_dense_finish_is_a_one_line_refusal(
+    tmp_path, capsys, monkeypatch
+):
+    def out_of_memory(pivots, rest, width, p):
+        raise MemoryError("Unable to allocate 994. MiB for an array")
+
+    # with no update budget the query's class goes dense, where allocation fails
+    monkeypatch.setattr(linalg, "_BUDGET", 0)
+    monkeypatch.setattr(linalg, "_dense", out_of_memory)
+    quartic = write(tmp_path, QUARTIC_FPB, "quartic.fpb")
+    argv = ["member", quartic, "--q", "5", "--elem", "x^11*y^10*z^10*w^10",
+            "--allow-large"]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refusal: out of memory\n"

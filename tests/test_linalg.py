@@ -9,6 +9,14 @@ from frobpow.linalg import SparseMatrix, rank_mod, row_echelon_mod, solve_mod
 from frobpow.polynomials import PolyError, Polynomial, check_prime
 
 
+def sparse(A):
+    """The SparseMatrix of a 2-D integer array (or nested lists), entries
+    kept as given."""
+    A = np.asarray(A)
+    rows = [{j: int(v) for j, v in enumerate(row) if v} for row in A]
+    return SparseMatrix(A.shape, rows)
+
+
 def rank_oracle(A, p):
     """Unblocked textbook elimination, kept independent of the library path."""
     rows = [[int(v) % p for v in r] for r in A]
@@ -36,14 +44,14 @@ def test_rank_matches_oracle_random(p):
     for _ in range(40):
         n, m = rng.randint(1, 10), rng.randint(1, 10)
         A = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
-        assert rank_mod(np.array(A), p) == rank_oracle(A, p)
+        assert rank_mod(sparse(A), p) == rank_oracle(A, p)
 
 
 def test_rank_and_solve_wider_than_one_panel():
     rng = np.random.default_rng(5)
     for p in (2, 7):
         A = rng.integers(0, p, size=(80, 120))
-        assert rank_mod(A, p) == rank_oracle(A.tolist(), p)
+        assert rank_mod(sparse(A), p) == rank_oracle(A.tolist(), p)
         check_wide_low_rank(random.Random(p), p)
 
 
@@ -55,24 +63,24 @@ def test_solve_recovers_consistent_system():
             A = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(n)])
             x0 = np.array([rng.randrange(p) for _ in range(m)])
             b = (A @ x0) % p
-            x = solve_mod(A, b, p)
+            x = solve_mod(sparse(A), b, p)
             assert x is not None
             assert ((A @ np.array(x, dtype=np.int64)) % p == b).all()
 
 
 def test_solve_detects_inconsistency():
     p = 5
-    A = np.array([[1, 2], [2, 4]])  # rank 1
-    b = np.array([1, 3])  # not in the column span
+    A = sparse([[1, 2], [2, 4]])  # rank 1
+    b = [1, 3]  # not in the column span
     assert solve_mod(A, b, p) is None
-    assert solve_mod(A, np.array([1, 2]), p) is not None
+    assert solve_mod(A, [1, 2], p) is not None
 
 
 def test_solve_zero_matrix():
     p = 3
-    A = np.zeros((3, 2), dtype=int)
-    assert solve_mod(A, np.array([0, 1, 0]), p) is None
-    x = solve_mod(A, np.zeros(3, dtype=int), p)
+    A = SparseMatrix((3, 2), [{}, {}, {}])
+    assert solve_mod(A, [0, 1, 0], p) is None
+    x = solve_mod(A, [0, 0, 0], p)
     assert x == [0, 0]
 
 
@@ -80,10 +88,10 @@ def test_rank_invariant_under_permutation():
     rng = np.random.default_rng(9)
     for p in (2, 7):
         A = rng.integers(0, p, size=(12, 17))
-        base = rank_mod(A, p)
+        base = rank_mod(sparse(A), p)
         for _ in range(3):
             B = A[rng.permutation(12)][:, rng.permutation(17)]
-            assert rank_mod(B, p) == base
+            assert rank_mod(sparse(B), p) == base
 
 
 def test_echelon_pivots_deterministic():
@@ -101,7 +109,7 @@ def test_exhaustive_tiny_over_f2():
     # every 3x3 matrix over F_2: rank against the oracle
     for bits in itertools.product((0, 1), repeat=9):
         A = [list(bits[0:3]), list(bits[3:6]), list(bits[6:9])]
-        assert rank_mod(np.array(A), 2) == rank_oracle(A, 2)
+        assert rank_mod(sparse(A), 2) == rank_oracle(A, 2)
 
 
 # -- block-diagonal matrices against one unsplit elimination ------------------
@@ -148,10 +156,10 @@ def test_block_split_rank_and_solve_match_unsplit(p):
     rng = np.random.default_rng(p)
     for _ in range(30):
         A = scrambled_block_diagonal(rng, p)
-        assert rank_mod(A, p) == rank_oracle(A.tolist(), p)
+        assert rank_mod(sparse(A), p) == rank_oracle(A.tolist(), p)
         n, m = A.shape
         for b in (A @ rng.integers(0, p, size=m) % p, rng.integers(0, p, size=n)):
-            x = solve_mod(A, b, p)
+            x = solve_mod(sparse(A), b, p)
             expected = dense_solve(A, b, p)
             if expected is None:
                 assert x is None
@@ -161,20 +169,21 @@ def test_block_split_rank_and_solve_match_unsplit(p):
 
 def test_solve_nonzero_on_empty_row_is_inconsistent():
     p = 7
-    A = np.array([[1, 2, 0], [0, 0, 0], [0, 0, 3]])
-    assert solve_mod(A, np.array([1, 0, 3]), p) == [1, 0, 1]
-    assert solve_mod(A, np.array([1, 5, 3]), p) is None
+    A = sparse([[1, 2, 0], [0, 0, 0], [0, 0, 3]])
+    assert solve_mod(A, [1, 0, 3], p) == [1, 0, 1]
+    assert solve_mod(A, [1, 5, 3], p) is None
     # an entry of p is zero mod p: its row is empty too
-    assert solve_mod(np.array([[p, 0], [0, 1]]), np.array([1, 0]), p) is None
+    assert solve_mod(sparse([[p, 0], [0, 1]]), [1, 0], p) is None
 
 
 def test_empty_matrices():
     p = 5
-    assert rank_mod(np.zeros((0, 4), dtype=int), p) == 0
-    assert rank_mod(np.zeros((3, 0), dtype=int), p) == 0
-    assert solve_mod(np.zeros((0, 4), dtype=int), np.zeros(0, dtype=int), p) == [0] * 4
-    assert solve_mod(np.zeros((3, 0), dtype=int), np.zeros(3, dtype=int), p) == []
-    assert solve_mod(np.zeros((3, 0), dtype=int), np.array([0, 2, 0]), p) is None
+    no_rows, no_cols = SparseMatrix((0, 4), []), SparseMatrix((3, 0), [{}, {}, {}])
+    assert rank_mod(no_rows, p) == 0
+    assert rank_mod(no_cols, p) == 0
+    assert solve_mod(no_rows, [], p) == [0] * 4
+    assert solve_mod(no_cols, [0, 0, 0], p) == []
+    assert solve_mod(no_cols, [0, 2, 0], p) is None
 
 
 def test_solve_rejects_a_right_side_of_the_wrong_length():
@@ -199,10 +208,10 @@ def test_rank_and_solve_exact_across_prime_bands(p):
         U = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
         V = [[rng.randrange(p) for _ in range(m)] for _ in range(k)]
         A = [[sum(u * v for u, v in zip(row, col)) % p for col in zip(*V)] for row in U]
-        assert rank_mod(np.array(A, dtype=np.int64), p) == rank_oracle(A, p)
+        assert rank_mod(sparse(A), p) == rank_oracle(A, p)
         x0 = [rng.randrange(p) for _ in range(m)]
         b = [sum(a * v for a, v in zip(row, x0)) % p for row in A]
-        x = solve_mod(np.array(A, dtype=np.int64), np.array(b, dtype=np.int64), p)
+        x = solve_mod(sparse(A), b, p)
         assert x is not None
         assert [sum(a * int(v) for a, v in zip(row, x)) % p for row in A] == b
     check_wide_low_rank(rng, p)
@@ -221,11 +230,11 @@ def check_wide_low_rank(rng, p):
 
     for n, m, k in ((60, 300, 40), (140, 150, 135)):
         A = (draw(n, k, True) @ draw(k, m, True) % p).astype(np.int64)
-        assert rank_mod(A, p) == rank_oracle(A.tolist(), p)
+        assert rank_mod(sparse(A), p) == rank_oracle(A.tolist(), p)
         consistent = A.astype(object) @ draw(m, 1, False) % p
         for b in (consistent[:, 0], draw(n, 1, False)[:, 0]):
             b = b.astype(np.int64)
-            x = solve_mod(A, b, p)
+            x = solve_mod(sparse(A), b, p)
             expected = dense_solve(A, b, p)
             if expected is None:
                 assert x is None
@@ -253,21 +262,21 @@ def sparse_low_rank(rng, p, n, m):
 
 
 def check_against_dense(rng, p, A):
-    """rank_mod and solve_mod on A and on its SparseMatrix form against
+    """rank_mod and solve_mod on the SparseMatrix form of A against
     row_echelon_mod of the whole (augmented) matrix."""
     n, m = A.shape
     rank = len(row_echelon_mod(A.copy(), p))
-    rows = [{j: int(v) for j, v in enumerate(r) if v} for r in A]
-    sparse = SparseMatrix((n, m), rows)
-    assert rank_mod(A, p) == rank_mod(sparse, p) == rank
+    S = sparse(A)
+    rows = [dict(row) for row in S.rows]
+    assert rank_mod(S, p) == rank
     x0 = np.array([rng.randrange(p) for _ in range(m)], dtype=object)
     consistent = (A.astype(object) @ x0 % p).astype(np.int64)
     outside = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
     for b in (consistent, outside):
         expected = dense_solve(A, b, p)
-        assert solve_mod(A, b, p) == solve_mod(sparse, list(b), p) == expected
+        assert solve_mod(S, list(b), p) == expected
     # the input is left as it was
-    assert sparse.rows == rows
+    assert S.rows == rows
 
 
 def handoffs(monkeypatch):
@@ -304,10 +313,26 @@ def test_fill_in_past_the_budget_takes_the_dense_finish(monkeypatch):
     A = np.array([[rng.randrange(1, p) if rng.random() < 0.1 else 0 for _ in range(m)]
                   for _ in range(n)], dtype=np.int64)
     seen = handoffs(monkeypatch)
-    assert rank_mod(A, p) == len(row_echelon_mod(A.copy(), p))
+    assert rank_mod(sparse(A), p) == len(row_echelon_mod(A.copy(), p))
     b = (A @ np.arange(m)) % p
-    assert solve_mod(A, b, p) == dense_solve(A, b, p)
+    assert solve_mod(sparse(A), b, p) == dense_solve(A, b, p)
     assert len(seen) == 2 and all(pivots and rest for pivots, rest in seen)
+
+
+@pytest.mark.parametrize("budget", [1 << 16, linalg._BUDGET])
+def test_scattered_small_blocks_stay_sparse_past_the_budget(monkeypatch, budget):
+    # 120 dense 30 x 30 blocks at p = 7, rows and columns scrambled: 811,984
+    # updates in all, and from 2**16 of them on the pivot rows hold under
+    # 0.65% of the 3600 columns, so the sparse phase finishes it alone
+    monkeypatch.setattr(linalg, "_BUDGET", budget)
+    rng = random.Random(1)
+    perm = list(range(3600))
+    rng.shuffle(perm)
+    rows = [{perm[30 * k + j]: rng.randrange(1, 7) for j in range(30)}
+            for k in range(120) for _ in range(30)]
+    rng.shuffle(rows)
+    pivots, rest = linalg._eliminate(rows, 3600, 7)
+    assert rest is None and len(pivots) == 3587
 
 
 def test_characteristic_above_ceiling_is_refused():
