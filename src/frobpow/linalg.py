@@ -13,6 +13,17 @@ of any dense elimination, and the order of rows is free to follow sparsity,
 after Markowitz (Management Science 1957).  The sparse phase never mixes rows
 of different connected blocks, so block structure costs nothing.
 
+Before it eliminates, ``rank_mod`` takes structural pivots (``_peel``), as
+sparse F_p solvers do (Faugere-Lachartre, PASCO 2010; Bouillaguet, Delaplace
+and Voge, PASCO 2017): a column with a single nonzero entry, in row i, adds 1
+to the rank and row i leaves; a row with a single entry, in column j, adds 1
+and column j leaves every row.  Each removal may leave new singletons, which
+are taken in turn, with no arithmetic; the rows left are eliminated as below.
+``solve_mod`` does not peel.  Its solution, with free variables 0, is read
+off the leftmost pivot columns, and a singleton column need not be one: in
+the 1 x 2 matrix [1 1] both columns are singletons, and only the first is a
+pivot column, so peeling could change the certificate a report prints.
+
 Both take only a ``SparseMatrix``, the type the engine builds.  The sparse
 phase counts entry updates.  Past ``_BUDGET`` of them, and at each doubling
 of the count, a matrix whose pivot rows hold on average at least ``_FILL`` of
@@ -213,13 +224,63 @@ def row_echelon_mod(M, p):
     return pivots
 
 
+def _peel(rows, width):
+    """Structural pivots: (count, rest).  A column with one entry, in row i,
+    is a pivot, and the rank is 1 plus that of the rows without row i.  A row
+    with one entry, in column j, is a pivot, and the rank is 1 plus that of
+    the other rows with column j deleted.  Both are taken, cascades too,
+    until neither is left; count is how many, rest the nonempty rows left.
+    No arithmetic, so any p; the dicts in rows are changed in place."""
+    count = [0] * width
+    for row in rows:
+        for j in row:
+            count[j] += 1
+    if 1 not in count and not any(len(row) == 1 for row in rows):
+        return 0, rows
+    # the live rows holding each column
+    holders = [set() for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    live = [True] * len(rows)
+    singleton_cols = [j for j, c in enumerate(count) if c == 1]
+    singleton_rows = [i for i, row in enumerate(rows) if len(row) == 1]
+    peeled = 0
+    while singleton_rows or singleton_cols:
+        if singleton_rows:
+            i = singleton_rows.pop()
+            if not live[i] or len(rows[i]) != 1:
+                continue
+            (j,) = rows[i]
+            for k in holders[j]:
+                if k != i:
+                    del rows[k][j]
+                    if len(rows[k]) == 1:
+                        singleton_rows.append(k)
+            holders[j] = set()
+        else:
+            j = singleton_cols.pop()
+            if len(holders[j]) != 1:
+                continue
+            (i,) = holders[j]
+            for c in rows[i]:
+                holders[c].discard(i)
+                if len(holders[c]) == 1:
+                    singleton_cols.append(c)
+        live[i] = False
+        peeled += 1
+    return peeled, [row for row, alive in zip(rows, live) if alive and row]
+
+
 def rank_mod(A, p):
-    """Rank over F_p of a SparseMatrix."""
+    """Rank over F_p of a SparseMatrix: structural pivots first (_peel), then
+    elimination of the rest."""
     m, rows = _sparse_rows(A, p)
+    peeled, rows = _peel(rows, m)
     pivots, rest = _eliminate(rows, m, p)
-    if rest is None:
-        return len(pivots)
-    return len(row_echelon_mod(_dense(pivots, rest, m, p), p))
+    if rest is not None:
+        pivots = row_echelon_mod(_dense(pivots, rest, m, p), p)
+    return peeled + len(pivots)
 
 
 def _solve_augmented(M, p):

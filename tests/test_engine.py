@@ -287,6 +287,25 @@ def test_search_starts_above_the_last_hilbert_deficit(cubic_squares, monkeypatch
     assert set(ranked) == {22}
 
 
+def test_fermat_cubic_squares_at_p5_rank_each_class_once(monkeypatch):
+    # k(q) = 3q + 1 up to q = 125; the degree below fails on its shape and
+    # the degree k(q) takes one rank test for each of its 9 classes
+    ring = fermat_cubic_ring(5)
+    eng = MembershipEngine(ring, IdealSpec.from_strings(ring, ["x^2", "y^2", "z^2"]))
+    ranks = []
+    rank_mod = linalg.rank_mod
+
+    def counted(A, p):
+        ranks.append(A.shape)
+        return rank_mod(A, p)
+
+    monkeypatch.setattr(linalg, "rank_mod", counted)
+    for q in (5, 25, 125):
+        del ranks[:]
+        assert eng.min_containment_degree(q, cap=eng.default_cap(q)) == 3 * q + 1
+        assert len(ranks) == 9
+
+
 def test_non_primary_ideal_never_contains():
     # (x^2) misses every power of y, so no degree works; cap stops the scan
     ring = poly_ring(3)

@@ -243,6 +243,83 @@ def check_wide_low_rank(rng, p):
                 assert ((A.astype(object) @ np.array(x, dtype=object)) % p == b).all()
 
 
+# -- structural pivots taken before elimination ------------------------------
+
+def planted_cascades(rng, p):
+    """(width, rows, chains) for a random sparse core with two singleton
+    cascades planted beside it, rows and columns scrambled.  In the column
+    chain, column C_0 is held by row R_0 alone and C_t by R_{t-1} and R_t,
+    so removing R_{t-1} leaves C_t a singleton.  In the row chain, S_0 holds
+    D_0 alone and S_t holds D_{t-1} and D_t, so deleting D_{t-1} leaves S_t
+    a singleton; core rows hold D columns too.  Core entries may equal p,
+    which is zero mod p; empty rows, a row holding only p and copies of core
+    rows ride along.  chains is the number of planted chain rows."""
+    mc, a, b = rng.randint(0, 10), rng.randint(1, 6), rng.randint(1, 6)
+    width = mc + a + b
+    C, D = range(mc, mc + a), range(mc + a, width)
+
+    def nonzero():
+        return rng.randrange(1, p)
+
+    def core_entries(density):
+        return {j: p if rng.random() < 0.05 else nonzero()
+                for j in range(mc) if rng.random() < density}
+
+    core = [core_entries(0.4) for _ in range(rng.randint(0, 10))]
+    for row in core:
+        row.update((j, nonzero()) for j in D if rng.random() < 0.3)
+    rows = core + [dict(row) for row in rng.sample(core, min(len(core), 2))]
+    for t in range(a):
+        row = core_entries(0.3)
+        row.update((c, nonzero()) for c in C[t : t + 2])
+        rows.append(row)
+    rows += [{d: nonzero() for d in D[max(t - 1, 0) : t + 1]} for t in range(b)]
+    rows += [{}, {rng.randrange(width): p}]
+    perm = list(range(width))
+    rng.shuffle(perm)
+    rows = [{perm[j]: v for j, v in row.items()} for row in rows]
+    rng.shuffle(rows)
+    return width, rows, a + b
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 65537, 2**31 - 1, 4294967291])
+def test_structural_pivots_match_the_oracle_on_planted_cascades(p):
+    rng = random.Random(p)
+    for _ in range(60):
+        width, rows, chains = planted_cascades(rng, p)
+        A = SparseMatrix((len(rows), width), rows)
+        before = [dict(row) for row in rows]
+        rank = rank_oracle([[row.get(j, 0) for j in range(width)] for row in rows], p)
+        assert rank_mod(A, p) == rank
+        assert A.rows == before
+        peeled, rest = linalg._peel(linalg._sparse_rows(A, p)[1], width)
+        pivots, left = linalg._eliminate(rest, width, p)
+        assert left is None and peeled + len(pivots) == rank
+        # every planted chain row is peeled, cascades included
+        assert peeled >= chains
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 65537, 2**31 - 1, 4294967291])
+def test_structural_pivots_on_small_cases(p):
+    cases = [
+        # duplicate row singletons: the second loses its column to the first
+        ([[1, 0], [1, 0]], 1),
+        ([[2, 0, 0], [3, 0, 0], [1, 1, 0]], 2),
+        # a row singleton whose column has other entries
+        ([[0, 1, 0], [1, 1, 1], [0, 1, 1], [1, 0, 1]], 3),
+        # no singleton: every column holds two entries, every row two
+        ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3 if p > 2 else 2),
+        ([[1, 1], [1, 1], [0, 0]], 1),
+        # an entry of p is zero mod p: it makes no singleton
+        ([[p, 0], [0, 0]], 0),
+        ([[p, 0], [0, 1]], 1),
+        ([[p, 1, 1], [0, 1, 1]], 1),
+    ]
+    for A, rank in cases:
+        assert rank_oracle(A, p) == rank
+        assert rank_mod(sparse(A), p) == rank
+
+
 # -- sparse phase against the dense reference ---------------------------------
 
 def sparse_low_rank(rng, p, n, m):
@@ -306,17 +383,47 @@ def test_sparse_phase_matches_dense_reference_across_budgets(monkeypatch, p):
     assert any(pivots and rest for pivots, rest in seen)
 
 
+def tenth_dense(rng, p, n, m):
+    """An n x m array, each entry a nonzero below p with probability 0.1."""
+    return np.array([[rng.randrange(1, p) if rng.random() < 0.1 else 0 for _ in range(m)]
+                     for _ in range(n)], dtype=np.int64)
+
+
 def test_fill_in_past_the_budget_takes_the_dense_finish(monkeypatch):
     # 10% dense at p = 7: elimination fills it in, past the update budget
     p, n, m = 7, 200, 260
     rng = random.Random(7)
-    A = np.array([[rng.randrange(1, p) if rng.random() < 0.1 else 0 for _ in range(m)]
-                  for _ in range(n)], dtype=np.int64)
+    A = tenth_dense(rng, p, n, m)
     seen = handoffs(monkeypatch)
     assert rank_mod(sparse(A), p) == len(row_echelon_mod(A.copy(), p))
     b = (A @ np.arange(m)) % p
     assert solve_mod(sparse(A), b, p) == dense_solve(A, b, p)
     assert len(seen) == 2 and all(pivots and rest for pivots, rest in seen)
+
+
+def test_dense_finish_behind_a_border_of_singleton_columns(monkeypatch):
+    # the filling 200 x 260 core above, with 20 rows that each hold core
+    # entries and the one entry of a column of their own: the border peels
+    # off and the core still goes dense
+    p, n, m, border = 7, 200, 260, 20
+    rng = random.Random(7)
+    A = np.zeros((n + border, m + border), dtype=np.int64)
+    A[:n, :m] = tenth_dense(rng, p, n, m)
+    A[n:, :m] = tenth_dense(rng, p, border, m)
+    A[range(n, n + border), range(m, m + border)] = 1 + np.arange(border) % (p - 1)
+    A = A[np.random.default_rng(7).permutation(n + border)]
+    peeled, peel = [], linalg._peel
+
+    def spy(rows, width):
+        count, rest = peel(rows, width)
+        peeled.append(count)
+        return count, rest
+
+    monkeypatch.setattr(linalg, "_peel", spy)
+    seen = handoffs(monkeypatch)
+    assert rank_mod(sparse(A), p) == len(row_echelon_mod(A.copy(), p))
+    assert peeled == [border]
+    assert len(seen) == 1 and sum(seen[0]) <= n
 
 
 @pytest.mark.parametrize("budget", [1 << 16, linalg._BUDGET])
