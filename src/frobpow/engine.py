@@ -166,7 +166,7 @@ class MembershipEngine:
     Hilbert function; the classes _pieces splits it into have exactly that
     shape in sum, and _assemble builds one class.  _shape_verdict answers
     containment from the whole shape alone, assembling nothing, when the
-    matrix has no rows or fewer columns than rows.
+    matrix has fewer columns than rows.
 
     ``nu``, the slope constant of the inclusion bound, is derived from the
     ring's flags by bounds.compute_nu (None when they do not establish it);
@@ -308,12 +308,12 @@ class MembershipEngine:
             )
 
     def _shape_verdict(self, q, k):
-        """Whether R_k lies in I^[q] when the Hilbert shape of the degree-k
-        matrix decides it: True with no rows, False with fewer columns than
-        rows; None when it takes a rank test."""
+        """False when the Hilbert shape of the degree-k matrix shows that R_k
+        does not lie in I^[q], by fewer columns than rows; None when it takes
+        a rank test.  The matrix always has rows: the Hilbert series of a
+        complete intersection of dim >= 1 has every coefficient from degree 0
+        up at least 1."""
         rows, cols = self.check_matrix_size(q, k)
-        if rows == 0:
-            return True
         return False if cols < rows else None
 
     def degree_containment(self, q, k):

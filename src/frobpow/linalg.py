@@ -16,9 +16,10 @@ of different connected blocks, so block structure costs nothing.
 Before it eliminates, ``rank_mod`` takes structural pivots (``_peel``), as
 sparse F_p solvers do (Faugere-Lachartre, PASCO 2010; Bouillaguet, Delaplace
 and Voge, PASCO 2017): a column with a single nonzero entry, in row i, adds 1
-to the rank and row i leaves; a row with a single entry, in column j, adds 1
-and column j leaves every row.  Each removal may leave new singletons, which
-are taken in turn, with no arithmetic; the rows left are eliminated as below.
+to the rank and row i leaves.  Each removal may leave new singleton columns,
+which are taken in turn, with no arithmetic; a column's live holders are
+tracked as their count and the XOR of their indices, which is the one holder
+once the count is 1.  The rows left are eliminated as below.
 ``solve_mod`` does not peel.  Its solution, with free variables 0, is read
 off the leftmost pivot columns, and a singleton column need not be one: in
 the 1 x 2 matrix [1 1] both columns are singletons, and only the first is a
@@ -225,51 +226,37 @@ def row_echelon_mod(M, p):
 
 
 def _peel(rows, width):
-    """Structural pivots: (count, rest).  A column with one entry, in row i,
-    is a pivot, and the rank is 1 plus that of the rows without row i.  A row
-    with one entry, in column j, is a pivot, and the rank is 1 plus that of
-    the other rows with column j deleted.  Both are taken, cascades too,
-    until neither is left; count is how many, rest the nonempty rows left.
-    No arithmetic, so any p; the dicts in rows are changed in place."""
+    """Structural pivots: (count, rest).  A column with one live entry, in
+    row i, is a pivot, and the rank is 1 plus that of the rows without row i.
+    Row i leaves, each column it held loses a holder, and a column left with
+    one holder is taken in its turn, until none is left; count is how many,
+    rest the nonempty rows left.  count[j] is the number of live rows holding
+    column j and held[j] the XOR of their indices, so once count[j] is 1,
+    held[j] is that row.  No arithmetic, so any p; the dicts are not changed."""
     count = [0] * width
     for row in rows:
         for j in row:
             count[j] += 1
-    if 1 not in count and not any(len(row) == 1 for row in rows):
+    if 1 not in count:
         return 0, rows
-    # the live rows holding each column
-    holders = [set() for _ in range(width)]
+    held = [0] * width
     for i, row in enumerate(rows):
         for j in row:
-            holders[j].add(i)
+            held[j] ^= i
     live = [True] * len(rows)
-    singleton_cols = [j for j, c in enumerate(count) if c == 1]
-    singleton_rows = [i for i, row in enumerate(rows) if len(row) == 1]
-    peeled = 0
-    while singleton_rows or singleton_cols:
-        if singleton_rows:
-            i = singleton_rows.pop()
-            if not live[i] or len(rows[i]) != 1:
-                continue
-            (j,) = rows[i]
-            for k in holders[j]:
-                if k != i:
-                    del rows[k][j]
-                    if len(rows[k]) == 1:
-                        singleton_rows.append(k)
-            holders[j] = set()
-        else:
-            j = singleton_cols.pop()
-            if len(holders[j]) != 1:
-                continue
-            (i,) = holders[j]
+    queue = [j for j, c in enumerate(count) if c == 1]
+    # a column is queued once, when its count reaches 1; by its turn the
+    # count may have fallen to 0
+    for j in queue:
+        if count[j] == 1:
+            i = held[j]
+            live[i] = False
             for c in rows[i]:
-                holders[c].discard(i)
-                if len(holders[c]) == 1:
-                    singleton_cols.append(c)
-        live[i] = False
-        peeled += 1
-    return peeled, [row for row, alive in zip(rows, live) if alive and row]
+                count[c] -= 1
+                held[c] ^= i
+                if count[c] == 1:
+                    queue.append(c)
+    return live.count(False), [row for row, alive in zip(rows, live) if alive and row]
 
 
 def rank_mod(A, p):

@@ -253,7 +253,8 @@ def planted_cascades(rng, p):
     D_0 alone and S_t holds D_{t-1} and D_t, so deleting D_{t-1} leaves S_t
     a singleton; core rows hold D columns too.  Core entries may equal p,
     which is zero mod p; empty rows, a row holding only p and copies of core
-    rows ride along.  chains is the number of planted chain rows."""
+    rows ride along.  a and b are the lengths of the column and row chains;
+    the row chain is a column chain of the transpose."""
     mc, a, b = rng.randint(0, 10), rng.randint(1, 6), rng.randint(1, 6)
     width = mc + a + b
     C, D = range(mc, mc + a), range(mc + a, width)
@@ -279,33 +280,50 @@ def planted_cascades(rng, p):
     rng.shuffle(perm)
     rows = [{perm[j]: v for j, v in row.items()} for row in rows]
     rng.shuffle(rows)
-    return width, rows, a + b
+    return width, rows, a, b
+
+
+def transpose(width, rows):
+    """The rows of the transpose of the matrix with the given width and rows."""
+    cols = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 65537, 2**31 - 1, 4294967291])
 def test_structural_pivots_match_the_oracle_on_planted_cascades(p):
     rng = random.Random(p)
     for _ in range(60):
-        width, rows, chains = planted_cascades(rng, p)
-        A = SparseMatrix((len(rows), width), rows)
-        before = [dict(row) for row in rows]
+        width, rows, a, b = planted_cascades(rng, p)
         rank = rank_oracle([[row.get(j, 0) for j in range(width)] for row in rows], p)
-        assert rank_mod(A, p) == rank
-        assert A.rows == before
-        peeled, rest = linalg._peel(linalg._sparse_rows(A, p)[1], width)
-        pivots, left = linalg._eliminate(rest, width, p)
-        assert left is None and peeled + len(pivots) == rank
-        # every planted chain row is peeled, cascades included
-        assert peeled >= chains
+        # A, then its transpose, in which the row chain is a column chain
+        for A, chain in [(SparseMatrix((len(rows), width), rows), a),
+                         (SparseMatrix((width, len(rows)), transpose(width, rows)), b)]:
+            before = [dict(row) for row in A.rows]
+            assert rank_mod(A, p) == rank
+            assert A.rows == before
+            reduced = linalg._sparse_rows(A, p)[1]
+            unpeeled = [dict(row) for row in reduced]
+            peeled, rest = linalg._peel(reduced, A.shape[1])
+            assert reduced == unpeeled
+            pivots, left = linalg._eliminate(rest, A.shape[1], p)
+            assert left is None and peeled + len(pivots) == rank
+            # every row of the planted column chain is peeled, cascade included
+            assert peeled >= chain
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 65537, 2**31 - 1, 4294967291])
 def test_structural_pivots_on_small_cases(p):
     cases = [
-        # duplicate row singletons: the second loses its column to the first
+        # duplicate one-entry rows share a column, which is no singleton:
+        # elimination settles them (in the second case after column 1, a
+        # singleton, takes the third row)
         ([[1, 0], [1, 0]], 1),
         ([[2, 0, 0], [3, 0, 0], [1, 1, 0]], 2),
-        # a row singleton whose column has other entries
+        # a one-entry row whose column has other entries: no column is a
+        # singleton, and elimination settles it all
         ([[0, 1, 0], [1, 1, 1], [0, 1, 1], [1, 0, 1]], 3),
         # no singleton: every column holds two entries, every row two
         ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3 if p > 2 else 2),
