@@ -108,6 +108,29 @@ def class_keys(echelon, vectors):
     return keys
 
 
+def _packing(m, n):
+    """(pack, unpack) between exponent tuples of n variables and ints with
+    one field of m.bit_length() bits per variable, the first variable in the
+    highest.  The field holds every exponent up to m, so the sum of two
+    packed monomials packs their product whenever the product's exponents
+    stay at most m: always, for a product of degree m.  (Monagan-Pearce,
+    CASC 2007, pack exponent vectors the same way.)"""
+    width = m.bit_length()
+    mask = (1 << width) - 1
+    shifts = tuple(width * k for k in reversed(range(n)))
+
+    def pack(mono):
+        v = 0
+        for e in mono:
+            v = v << width | e
+        return v
+
+    def unpack(v):
+        return tuple(v >> s & mask for s in shifts)
+
+    return pack, unpack
+
+
 # One class of the degree-m membership matrix: its rows (standard monomials
 # of R_m) and columns ((generator index, source monomial) pairs), each in its
 # relative order in the whole-degree matrix.
@@ -254,16 +277,50 @@ class MembershipEngine:
     def _assemble(self, q, piece):
         """Rows, columns and sparse matrix of one class of the degree-m
         matrix: entry (r, j) is the coefficient of row r in NF(mono * f_i^q)
-        for column j = (i, mono)."""
-        entries = [{} for _ in piece.rows]
-        row_of = dict(zip(piece.rows, entries))
-        for j, (i, mono) in enumerate(piece.cols):
-            gq = self._generator_power(i, q).terms.items()
-            coords = self.ring.reduce((monomial_mul(mono, mt), ct) for mt, ct in gq)
-            for mr, c in coords.items():
-                row_of[mr][j] = c
-        shape = (len(piece.rows), len(piece.cols))
-        return piece.rows, piece.cols, linalg.SparseMatrix(shape, entries)
+        for column j = (i, mono).
+
+        Monomials are packed into ints (``_packing``), so a product term is
+        one addition.  A product that is a row, a standard monomial, is its
+        own normal form; any other is looked up in a table from packed
+        monomial to [(row index, coefficient)], filled once per distinct
+        product from ring.monomial_normal_form.  Each column's coefficients
+        are summed per row and reduced mod p once."""
+        rows, cols = piece.rows, piece.cols
+        entries = [{} for _ in rows]
+        shape = (len(rows), len(cols))
+        # a class with no rows: every normal form in it is zero
+        if not rows:
+            return rows, cols, linalg.SparseMatrix(shape, entries)
+        ring = self.ring
+        p = ring.p
+        pack, unpack = _packing(sum(rows[0]), ring.num_vars)
+        row_at = {pack(mono): r for r, mono in enumerate(rows)}
+        table = {}
+        powers = {}
+        for j, (i, mono) in enumerate(cols):
+            terms = powers.get(i)
+            if terms is None:
+                gq = self._generator_power(i, q).terms.items()
+                terms = powers[i] = [(pack(t), c) for t, c in gq]
+            base = pack(mono)
+            acc = {}
+            for t, c in terms:
+                key = base + t
+                r = row_at.get(key)
+                if r is not None:
+                    acc[r] = acc.get(r, 0) + c
+                    continue
+                nf = table.get(key)
+                if nf is None:
+                    reduced = ring.monomial_normal_form(unpack(key)).items()
+                    nf = table[key] = [(row_at[pack(mr)], cr) for mr, cr in reduced]
+                for r, cr in nf:
+                    acc[r] = acc.get(r, 0) + c * cr
+            for r, v in acc.items():
+                v %= p
+                if v:
+                    entries[r][j] = v
+        return rows, cols, linalg.SparseMatrix(shape, entries)
 
     # -- operations --------------------------------------------------------
 

@@ -7,6 +7,8 @@ pair selection is the normal strategy (smallest lcm in grevlex, ties by
 index), and a degree cap guards against runaway computations.
 """
 
+from operator import itemgetter
+
 from .polynomials import (
     Polynomial,
     grevlex_key,
@@ -16,6 +18,10 @@ from .polynomials import (
     monomial_mul,
     monomial_quotient,
 )
+
+
+# mono[::-1] as a C-level sort key
+_reversed = itemgetter(slice(None, None, -1))
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -191,4 +197,6 @@ def standard_monomials(gb, m):
             walk(i + 1, ext, deg + e)
 
     walk(0, (), 0)
-    return sorted(out, key=grevlex_key, reverse=True)
+    # within one degree, grevlex descending is the reversed exponents ascending
+    out.sort(key=_reversed)
+    return out

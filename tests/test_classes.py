@@ -18,6 +18,8 @@ from frobpow.groebner import monomials_of_degree
 from frobpow.polynomials import Polynomial, monomial_mul
 from frobpow.rings import RingPresentation
 
+from conftest import fermat_cubic_ring
+
 # -- class keys --------------------------------------------------------------
 
 
@@ -260,3 +262,60 @@ def test_class_split_matches_the_whole_degree_matrix(p):
                         seen_member += 1
                         assert cert.coefficients == expected
     assert seen_split and seen_member and seen_empty_class and seen_contained
+
+
+# -- packed assembly against the tuple path ----------------------------------
+
+
+def _tuple_class(eng, q, piece):
+    """The entry dicts of one class as _whole_degree builds its columns:
+    NF(mono * f_i^q) reduced term by term on exponent tuples."""
+    ring = eng.ring
+    index = {mono: r for r, mono in enumerate(piece.rows)}
+    rows, products = [{} for _ in piece.rows], set()
+    for j, (i, mono) in enumerate(piece.cols):
+        gq = ring.normal_form(eng.ideal.generators[i].frobenius_power(q)).terms
+        products.update(monomial_mul(mono, t) for t in gq)
+        coords = ring.reduce((monomial_mul(mono, t), c) for t, c in gq.items())
+        for r, c in coords.items():
+            rows[index[r]][j] = c
+    return rows, products - set(index)
+
+
+def _power_problem(p, n, degrees):
+    """F_p[x_0..x_{n-1}] with the pure powers x_k^d as generators: the
+    product x_0^(m-d) * x_0^d is the row x_0^m, an exponent equal to m."""
+    ring = RingPresentation(p, ("x", "y", "z", "w")[:n])
+    gens = [Polynomial(p, n, {tuple(d if k == j else 0 for k in range(n)): 1})
+            for j, d in enumerate(degrees)]
+    return MembershipEngine(ring, IdealSpec(tuple(gens)))
+
+
+@pytest.mark.parametrize("p", PRIMES + (4294967291,))
+def test_packed_assembly_matches_the_tuple_path(p):
+    rng = random.Random(7 * p + 1)
+    qs = (1, p) if p < 10 else (1,)
+    # (engine, q, degrees): pure powers, random binomial problems, and the
+    # Fermat cubic from the first source degree up past k(q) = 3q + 1
+    cases = [(_power_problem(p, n, degrees), q, range(q, q + 8))
+             for n, degrees in ((1, (3,)), (2, (1, 2)), (3, (2, 3, 1))) for q in qs]
+    for primary in (False, True) * 2:
+        eng = _random_problem(rng, p, primary)
+        low = min(eng.ideal.degrees)
+        cases += [(eng, q, range(q * low, q * low + 3)) for q in qs[: 2 - primary]]
+    ring = fermat_cubic_ring(p)
+    squares = MembershipEngine(
+        ring, IdealSpec.from_strings(ring, ["x^2", "y^2", "z^2"]))
+    cases += [(squares, q, range(2 * q, 3 * q + 3)) for q in qs]
+    seen_at_m = seen_table = 0
+    for eng, q, degrees in cases:
+        for m in degrees:
+            for piece in eng._pieces(q, m).values():
+                rows, cols, A = eng._assemble(q, piece)
+                assert (rows, cols) == (piece.rows, piece.cols)
+                assert A.shape == (len(rows), len(cols))
+                expected, off_rows = _tuple_class(eng, q, piece)
+                assert A.rows == expected
+                seen_table += bool(off_rows)
+                seen_at_m += any(m in mono for mono in rows)
+    assert seen_at_m and seen_table

@@ -9,6 +9,7 @@ from frobpow.groebner import (
     buchberger,
     monomials_of_degree,
     normal_form,
+    _reversed,
     s_polynomial,
     standard_monomials,
 )
@@ -190,6 +191,17 @@ def test_standard_monomials_exclude_leading_monomial():
     monos = standard_monomials(gb, 3)
     assert len(monos) == 9
     assert (3, 0, 0) not in monos
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3, 4, 5])
+def test_reversed_exponents_ascending_is_grevlex_descending_in_one_degree(num_vars):
+    # standard_monomials sorts one degree by mono[::-1], not by grevlex_key
+    for m in range(7):
+        monos = list(monomials_of_degree(num_vars, m))
+        random.Random(m).shuffle(monos)
+        expected = sorted(monos, key=grevlex_key, reverse=True)
+        assert [mono[::-1] for mono in monos] == [_reversed(mono) for mono in monos]
+        assert sorted(monos, key=_reversed) == expected
 
 
 @pytest.mark.parametrize("num_vars", [1, 2, 3, 4, 5])

@@ -444,6 +444,58 @@ def test_dense_finish_behind_a_border_of_singleton_columns(monkeypatch):
     assert len(seen) == 1 and sum(seen[0]) <= n
 
 
+def bordered_core(rng, p, n, m, border, empty):
+    """(A, core width): a random n x m core, about a third nonzero and every
+    column held at least twice, beside `border` rows that each hold core
+    entries and the one entry of a column of their own, and `empty` zero
+    columns; rows and columns scrambled."""
+    core = [[rng.randrange(1, p) if rng.random() < 0.35 else 0 for _ in range(m)]
+            for _ in range(n)]
+    for j in range(m):
+        for i in rng.sample(range(n), 2):
+            core[i][j] = core[i][j] or rng.randrange(1, p)
+    rows = [row + [0] * (border + empty) for row in core]
+    for b in range(border):
+        own = [0] * (border + empty)
+        own[b] = rng.randrange(1, p)
+        entries = [rng.randrange(1, p) if rng.random() < 0.2 else 0 for _ in range(m)]
+        rows.append(entries + own)
+    perm = list(range(m + border + empty))
+    rng.shuffle(perm)
+    rng.shuffle(rows)
+    return [[row[j] for j in perm] for row in rows], m
+
+
+@pytest.mark.parametrize(
+    "p", [2, 3, 7, 1291, 32749, 65537, 16777213, 2**31 - 1, 4294967291]
+)
+def test_rank_finishes_dense_on_the_columns_it_holds(monkeypatch, p):
+    # a budget of 0 asks at the second update whether the pivot rows have
+    # filled in, and a third-full core has: the border peels off, and the
+    # dense finish of rank_mod sees only the core's columns, that of
+    # solve_mod the full width and the right-hand side
+    monkeypatch.setattr(linalg, "_BUDGET", 0)
+    widths, echelon = [], linalg.row_echelon_mod
+
+    def spy(M, p):
+        widths.append(M.shape[1])
+        return echelon(M, p)
+
+    monkeypatch.setattr(linalg, "row_echelon_mod", spy)
+    rng = random.Random(p)
+    for _ in range(4):
+        A, core = bordered_core(rng, p, rng.randint(12, 30), rng.randint(12, 30),
+                                rng.randint(1, 8), rng.randint(1, 8))
+        width = len(A[0])
+        widths.clear()
+        assert rank_mod(sparse(A), p) == rank_oracle(A, p)
+        assert widths == [core] and core < width
+        widths.clear()
+        b = [rng.randrange(p) for _ in A]
+        assert solve_mod(sparse(A), b, p) == dense_solve(np.array(A), b, p)
+        assert widths == [width + 1]
+
+
 @pytest.mark.parametrize("budget", [1 << 16, linalg._BUDGET])
 def test_scattered_small_blocks_stay_sparse_past_the_budget(monkeypatch, budget):
     # 120 dense 30 x 30 blocks at p = 7, rows and columns scrambled: 811,984
