@@ -225,14 +225,31 @@ def _text_lines(value, indent=""):
 # -- subcommands -----------------------------------------------------------
 
 
+def _over_digits(x, limit):
+    """True when abs(x) has more than limit decimal digits; 10**limit has
+    over 3*limit bits, so it is built only for an x that long."""
+    return x.bit_length() > 3 * limit and abs(x) >= 10**limit
+
+
 def _cmd_bounds(pf, args):
     ring = pf.ring
     degrees = pf.ideal.degrees
     nu, provenance = bounds_mod.compute_nu(degrees, ring.dim, ring.flags)
     a = ring.a_invariant()
     c1, c0 = bounds_mod.regularity_bound_constants(degrees, ring)
-    qs = [ring.p**e for e in range(args.emax + 1)]
-    thresholds = {q: bounds_mod.inclusion_threshold(nu, a, q) for q in qs}
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    thresholds, q = {}, 1
+    for e in range(args.emax + 1):
+        k = bounds_mod.inclusion_threshold(nu, a, q)
+        # the report cannot print an int of more than limit digits: stop at
+        # the first such q or threshold, before building every larger one
+        if limit and any(_over_digits(x, limit) for x in (q, k)):
+            raise InputError(
+                f"q = {ring.p}^{e} or its inclusion threshold has more than "
+                f"{limit} digits, Python's limit on int-to-str conversion"
+            )
+        thresholds[q] = k
+        q *= ring.p
     return {
         "nu": nu,
         "nu_provenance": provenance,
@@ -431,7 +448,8 @@ def run_command(argv):
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        with open(args.problem_file, encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is not part of the text
+        with open(args.problem_file, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

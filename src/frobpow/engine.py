@@ -182,8 +182,8 @@ FrobeniusClosureReport = namedtuple(
 
 class MembershipEngine:
     """Membership/containment machinery for one (ring, ideal) pair; caches
-    the normal forms of generator Frobenius powers (the ring caches graded
-    bases and monomial normal forms).
+    the normal forms of generator Frobenius powers (the ring caches monomial
+    normal forms; graded bases are built per _pieces call, and not kept).
 
     check_matrix_size is the one place that sizes a membership matrix, by
     Hilbert function; the classes _pieces splits it into have exactly that
@@ -256,16 +256,19 @@ class MembershipEngine:
     def _pieces(self, q, m):
         """The class map of the degree-m matrix for q: {class key: Piece},
         keys in order of first appearance, from one pass over the rows and
-        one over the columns.  A source degree m - q*d below 0 has an empty
-        basis, and a generator power that is zero in R still gives its
-        columns, so the shapes sum to check_matrix_size(q, m)."""
-        ring = self.ring
+        one over the columns, with one graded basis per distinct degree (m
+        and the source degrees m - q*d) held for this call only.  A source
+        degree below 0 has an empty basis, and a generator power that is
+        zero in R still gives its columns, so the shapes sum to
+        check_matrix_size(q, m)."""
+        bases = {s: self.ring.graded_basis(s) for s in
+                 dict.fromkeys([m] + [m - q * d for d in self.ideal.degrees])}
         rows, cols = {}, {}
-        target = ring.graded_basis(m)
+        target = bases[m]
         for key, mono in zip(self._classes(target), target):
             rows.setdefault(key, []).append(mono)
         for i, d in enumerate(self.ideal.degrees):
-            source = ring.graded_basis(m - q * d)
+            source = bases[m - q * d]
             shift = tuple(q * a for a in self._exponents[i])
             for key, mono in zip(self._classes(source, shift), source):
                 cols.setdefault(key, []).append((i, mono))

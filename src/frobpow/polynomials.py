@@ -107,7 +107,7 @@ def grevlex_key(mono):
 class Polynomial:
     """Immutable sparse polynomial over F_p."""
 
-    __slots__ = ("p", "num_vars", "terms", "_hash")
+    __slots__ = ("p", "num_vars", "terms")
 
     def __init__(self, p, num_vars, terms=None):
         check_prime(p)
@@ -123,7 +123,6 @@ class Polynomial:
             if c:
                 clean[tuple(mono)] = c
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -255,10 +254,7 @@ class Polynomial:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            h = hash((self.p, self.num_vars, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        return hash((self.p, self.num_vars, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"Polynomial(p={self.p}, {self.terms!r})"

@@ -4,7 +4,9 @@ The constructor computes the Groebner basis and refuses relations that are
 not a complete intersection, the one place that rule is decided.  Carries the
 Hilbert function (by exact power series), graded bases of standard monomials
 (by Groebner data), the a-invariant and the regularity; the two routes to
-dim R_m are deliberately redundant and cross-asserted.  Normal forms are
+dim R_m are deliberately redundant and cross-asserted.  A graded basis is
+enumerated, and cross-checked, on every call: the ring keeps none, as no
+query asks twice for a degree an earlier query enumerated.  Normal forms are
 memoized per monomial and use that Frobenius is a ring endomorphism of R:
 NF(x^(p*b + r)) is reduced from NF(x^b)^p, so a q-th power costs log_p(q)
 short reduction chains.
@@ -85,7 +87,6 @@ class RingPresentation:
         self._leads = tuple(
             zip(self._gb.leading_monomials, self._gb.generators)
         )
-        self._bases = {}
         self._nf_cache = {}
 
     # -- structural numbers ------------------------------------------------
@@ -133,20 +134,17 @@ class RingPresentation:
         return self._gb
 
     def graded_basis(self, m):
-        """Standard monomials of degree m, as a tuple in grevlex order.  Their
-        count is asserted to be hilbert_dim(m): __init__ refuses every
-        presentation for which it is not, so a mismatch is a Groebner-basis
-        or standard-monomial bug."""
-        basis = self._bases.get(m)
-        if basis is None:
-            basis = tuple(standard_monomials(self._gb, m))
-            expected = self.hilbert_dim(m)
-            if len(basis) != expected:
-                raise AssertionError(
-                    f"standard-monomial count {len(basis)} != Hilbert dimension "
-                    f"{expected} in degree {m} of a complete intersection"
-                )
-            self._bases[m] = basis
+        """Standard monomials of degree m, as a tuple in grevlex order, built
+        afresh on each call.  Their count is asserted to be hilbert_dim(m),
+        on each call: __init__ refuses every presentation for which it is
+        not, so a mismatch is a Groebner-basis or standard-monomial bug."""
+        basis = tuple(standard_monomials(self._gb, m))
+        expected = self.hilbert_dim(m)
+        if len(basis) != expected:
+            raise AssertionError(
+                f"standard-monomial count {len(basis)} != Hilbert dimension "
+                f"{expected} in degree {m} of a complete intersection"
+            )
         return basis
 
     # -- normal forms ------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import frobpow
+from frobpow import bounds as bounds_mod
 from frobpow import linalg
 from frobpow.cli import (
     InputError,
@@ -267,6 +268,42 @@ def test_report_past_the_int_digit_limit_is_a_one_line_input_error(tmp_path, cap
         assert captured.out == ""
         assert captured.err.startswith("input error: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_bounds_stops_at_the_first_q_past_the_int_digit_limit(
+    fermat_cubic_file, capsys, monkeypatch
+):
+    # 3 * 7^e + 1 passes 4300 digits at e = 5088: no larger q or threshold
+    # is built, where all 20,001 once were
+    if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 4300:
+        pytest.skip("needs Python's default int-to-str digit limit")
+    calls = []
+    threshold = bounds_mod.inclusion_threshold
+
+    def counted(nu, a, q):
+        calls.append(q)
+        return threshold(nu, a, q)
+
+    monkeypatch.setattr(bounds_mod, "inclusion_threshold", counted)
+    assert run_command(["bounds", fermat_cubic_file, "--emax", "20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert len(calls) <= 5100
+
+
+def test_problem_file_with_a_byte_order_mark_parses(tmp_path, capsys):
+    bom = tmp_path / "bom.fpb"
+    bom.write_bytes(b"\xef\xbb\xbf" + FERMAT_CUBIC_FPB.encode())
+    plain = write(tmp_path, FERMAT_CUBIC_FPB)
+    outs = []
+    for path in (plain, str(bom)):
+        assert run_command(["kq", path, "--emax", "1", "--no-timings"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out)
+    assert outs[0] == outs[1] and "k_empirical = 22" in outs[0]
 
 
 @pytest.mark.parametrize("out", ["missing/report.txt", "."])

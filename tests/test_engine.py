@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobpow import linalg
+from frobpow import linalg, rings
 from frobpow.engine import (
     IdealSpec,
     MatrixTooLarge,
@@ -304,6 +304,26 @@ def test_fermat_cubic_squares_at_p5_rank_each_class_once(monkeypatch):
         del ranks[:]
         assert eng.min_containment_degree(q, cap=eng.default_cap(q)) == 3 * q + 1
         assert len(ranks) == 9
+
+
+def test_pieces_enumerate_each_degree_once_and_keep_none(cubic_squares, monkeypatch):
+    # x^2, y^2 and z^2 share the source degree 22 - 2*7 = 8, so one call
+    # enumerates degrees 22 and 8 once each; a second call enumerates both
+    # again, as nothing is kept between calls
+    ring, ideal = cubic_squares
+    eng = MembershipEngine(ring, ideal)
+    seen = []
+    standard_monomials = rings.standard_monomials
+
+    def spied(gb, m):
+        seen.append(m)
+        return standard_monomials(gb, m)
+
+    monkeypatch.setattr(rings, "standard_monomials", spied)
+    first = eng._pieces(7, 22)
+    assert sorted(seen) == [8, 22]
+    assert eng._pieces(7, 22) == first
+    assert sorted(seen) == [8, 8, 22, 22]
 
 
 def test_non_primary_ideal_never_contains():

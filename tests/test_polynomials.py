@@ -127,6 +127,23 @@ def test_modulus_mismatch_rejected():
         poly_parse("x", ("x",), 5) + poly_parse("x", ("x", "y"), 5)
 
 
+def test_equal_polynomials_hash_equal_by_every_route():
+    # one polynomial parsed in two term orders and built by arithmetic:
+    # (x+2)(x+3) = x^2 + 1 over F_5
+    parsed = poly_parse("x^2+3*y*z+4", XYZ, 5)
+    reordered = poly_parse("4+3*y*z+x^2", XYZ, 5)
+    built = (
+        poly_parse("x+2", XYZ, 5) * poly_parse("x+3", XYZ, 5)
+        + poly_parse("3*y*z+3", XYZ, 5)
+    )
+    assert list(parsed.terms) != list(reordered.terms)
+    assert parsed == reordered == built
+    assert hash(parsed) == hash(reordered) == hash(built)
+    assert {parsed: "a", reordered: "b", built: "c"} == {built: "c"}
+    assert len({parsed, reordered, built}) == 1
+    assert built in {parsed} and parsed + parsed not in {parsed}
+
+
 @given(poly_triples())
 @settings(max_examples=150)
 def test_ring_axioms(fgh):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from frobpow import rings
 from frobpow.groebner import buchberger, monomials_of_degree, standard_monomials
 from frobpow.polynomials import Polynomial, monomial_degree, monomial_lcm, poly_parse
 from frobpow.rings import AssumptionMissing, RingPresentation
@@ -83,6 +84,17 @@ def test_graded_basis_degree_three_excludes_lead(cubic):
 
 def test_graded_basis_degree_zero(cubic):
     assert cubic.graded_basis(0) == ((0, 0, 0),)
+
+
+def test_graded_basis_cross_checks_every_call(cubic, monkeypatch):
+    # the ring keeps no basis: a degree asked for before is enumerated, and
+    # checked against the Hilbert function, again
+    assert len(cubic.graded_basis(4)) == 12
+    monkeypatch.setattr(
+        rings, "standard_monomials", lambda gb, m: standard_monomials(gb, m)[1:]
+    )
+    with pytest.raises(AssertionError, match="count 11 != Hilbert dimension 12"):
+        cubic.graded_basis(4)
 
 
 # -- numeric invariants ----------------------------------------------------
