@@ -17,15 +17,18 @@ exponent differences inside each relation and each generator.  Every
 relation, Groebner-basis element, f_i^q and normal form is homogeneous for
 the grading by Z^N/L, so the matrix is block diagonal by class: row mono
 meets column (i, mono') only if class(mono) = class(mono' + q * exp(f_i)).
-A class is keyed by its canonical representative (``class_keys``).  One pass
-per (q, m) builds the class map {key: ``Piece``}, rows and columns kept in
-relative order.  Membership solves only the classes of NF(h): false only when
-one has no solution, true only once the certificate re-verifies.  Containment
-ranks one class at a time.  Classes share no rows and no columns, so every
-pivot and certificate is the one a whole-degree solve would give.  All of
-this is plain Python: a class is assembled as a ``linalg.SparseMatrix`` of
-dict rows, and only linalg's dense finish, for a class that fills in,
-imports numpy.
+A class is keyed by its canonical representative (``class_keys``), which
+differs from each of its monomials by a lattice vector.  Monomials differ by
+a lattice vector exactly when their shifts by q * exp(f_i) do, so the shift
+is one to one on classes: generator i's columns in a class are one whole
+class of R_{m - q*d_i}, which the class map {key: ``Piece``} moves by its key
+alone, rows and columns kept in relative order.  Membership solves only the
+classes of NF(h): false only when one has no solution, true only once the
+certificate re-verifies.  Containment ranks one class at a time.  Classes
+share no rows and no columns, so every pivot and certificate is the one a
+whole-degree solve would give.  All of this is plain Python: a class is
+assembled as a ``linalg.SparseMatrix`` of dict rows, and only linalg's dense
+finish, for a class that fills in, imports numpy.
 """
 
 from collections import namedtuple
@@ -241,41 +244,33 @@ class MembershipEngine:
             raise MatrixTooLarge(q, m, rows, cols, self.max_entries)
         return rows, cols
 
-    def _classes(self, monomials, shift=None):
-        """Class keys of the monomials, each multiplied by x^shift."""
-        keys = class_keys(self._echelon, monomials)
-        if shift is None:
-            return keys
-        # a key differs from its monomial by a lattice vector, so the key
-        # times x^shift lies in the class of the monomial times x^shift
-        distinct = list(dict.fromkeys(keys))
-        shifted = (monomial_mul(key, shift) for key in distinct)
-        moved = dict(zip(distinct, class_keys(self._echelon, shifted)))
-        return [moved[key] for key in keys]
-
     def _pieces(self, q, m):
         """The class map of the degree-m matrix for q: {class key: Piece},
-        keys in order of first appearance, from one pass over the rows and
-        one over the columns, with one graded basis per distinct degree (m
-        and the source degrees m - q*d) held for this call only.  A source
-        degree below 0 has an empty basis, and a generator power that is
-        zero in R still gives its columns, so the shapes sum to
-        check_matrix_size(q, m)."""
-        bases = {s: self.ring.graded_basis(s) for s in
-                 dict.fromkeys([m] + [m - q * d for d in self.ideal.degrees])}
-        rows, cols = {}, {}
-        target = bases[m]
-        for key, mono in zip(self._classes(target), target):
-            rows.setdefault(key, []).append(mono)
+        keys in order of first appearance (row classes, then column classes
+        in generator order).  The graded basis of each distinct degree, m
+        and each m - q*d, is built and split into classes once, and held
+        for this call only.  Two monomials differ by a lattice vector
+        exactly when their shifts by q*exp(f_i) do, so the shift is one to
+        one on classes: generator i's columns in a class are one whole
+        source class, in basis order, moved by its key (which differs from
+        its monomials by lattice vectors).  A source degree below 0 has an
+        empty basis, and a generator power that is zero in R still gives
+        its columns, so the shapes sum to check_matrix_size(q, m)."""
+        split = {}
+        for s in dict.fromkeys([m] + [m - q * d for d in self.ideal.degrees]):
+            basis = self.ring.graded_basis(s)
+            classes = split[s] = {}
+            for key, mono in zip(class_keys(self._echelon, basis), basis):
+                classes.setdefault(key, []).append(mono)
+        pieces = {key: Piece(monos, []) for key, monos in split[m].items()}
         for i, d in enumerate(self.ideal.degrees):
-            source = bases[m - q * d]
+            source = split[m - q * d]
             shift = tuple(q * a for a in self._exponents[i])
-            for key, mono in zip(self._classes(source, shift), source):
-                cols.setdefault(key, []).append((i, mono))
-        return {
-            key: Piece(rows.get(key, []), cols.get(key, []))
-            for key in {**rows, **cols}
-        }
+            moved = class_keys(self._echelon, [monomial_mul(k, shift) for k in source])
+            for key, monos in zip(moved, source.values()):
+                cols = pieces.setdefault(key, Piece([], [])).cols
+                cols.extend((i, mono) for mono in monos)
+        return pieces
 
     def _assemble(self, q, piece):
         """Rows, columns and sparse matrix of one class of the degree-m
@@ -340,7 +335,7 @@ class MembershipEngine:
         # I^[q] is L-homogeneous: h is a member exactly when each class
         # component of NF(h) is, and the solution is 0 on every other class;
         # a zero NF(h) touches no class and needs no class map
-        touched = dict.fromkeys(self._classes(list(hn.terms)))
+        touched = dict.fromkeys(class_keys(self._echelon, hn.terms))
         pieces = self._pieces(q, m) if touched else {}
         coeff_terms = [dict() for _ in self.ideal.generators]
         for key in touched:

@@ -240,8 +240,6 @@ def _peel(rows, width):
     for row in rows:
         for j in row:
             count[j] += 1
-    if 1 not in count:
-        return 0, rows
     held = [0] * width
     for i, row in enumerate(rows):
         for j in row:

@@ -11,6 +11,7 @@ from frobpow import linalg
 from frobpow.engine import (
     IdealSpec,
     MembershipEngine,
+    Piece,
     class_keys,
     lattice_echelon,
 )
@@ -319,3 +320,53 @@ def test_packed_assembly_matches_the_tuple_path(p):
                 seen_table += bool(off_rows)
                 seen_at_m += any(m in mono for mono in rows)
     assert seen_at_m and seen_table
+
+
+# -- the class map against one monomial at a time ----------------------------
+
+
+def _reference_pieces(eng, rng, q, m):
+    """The class map of the degree-m matrix, keyed one monomial at a time:
+    each row by its own class key, each column (i, mono) by the key of
+    mono * x^(q*t), for a term x^t of f_i drawn at random."""
+    ring = eng.ring
+
+    def key(mono):
+        return class_keys(eng._echelon, [mono])[0]
+
+    rows, cols = {}, {}
+    for mono in ring.graded_basis(m):
+        rows.setdefault(key(mono), []).append(mono)
+    for i, g in enumerate(eng.ideal.generators):
+        shift = tuple(q * a for a in rng.choice(list(g.terms)))
+        for mono in ring.graded_basis(m - q * g.degree()):
+            cols.setdefault(key(monomial_mul(mono, shift)), []).append((i, mono))
+    return [(k, Piece(rows.get(k, []), cols.get(k, []))) for k in {**rows, **cols}]
+
+
+@pytest.mark.parametrize("p", PRIMES + (4294967291,))
+def test_class_map_matches_keying_each_monomial(p):
+    rng = random.Random(11 * p + 3)
+    qs = (1, p) if p < 10 else (1,)
+    # the cases of the packed assembly test: pure powers in three distinct
+    # source degrees, random binomial problems, and the Fermat cubic with
+    # squares from the first source degree up past k(q) = 3q + 1
+    cases = [(_power_problem(p, 3, (2, 3, 1)), q, range(q, q + 8)) for q in qs]
+    for primary in (False, True) * 2:
+        eng = _random_problem(rng, p, primary)
+        low = min(eng.ideal.degrees)
+        cases += [(eng, q, range(q * low, q * low + 3)) for q in qs[: 2 - primary]]
+    ring = fermat_cubic_ring(p)
+    squares = MembershipEngine(
+        ring, IdealSpec.from_strings(ring, ["x^2", "y^2", "z^2"]))
+    cases += [(squares, q, range(2 * q, 3 * q + 3)) for q in qs]
+    seen_split = seen_shared = 0
+    for eng, q, degrees in cases:
+        for m in degrees:
+            pieces = list(eng._pieces(q, m).items())
+            assert pieces == _reference_pieces(eng, rng, q, m)
+            seen_split += len(pieces) > 1
+            # a class whose columns come from more than one generator
+            seen_shared += any(len({i for i, _ in piece.cols}) > 1
+                               for _, piece in pieces)
+    assert seen_split and seen_shared

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobpow import linalg, rings
+from frobpow import engine, linalg, rings
 from frobpow.engine import (
     IdealSpec,
     MatrixTooLarge,
@@ -324,6 +324,25 @@ def test_pieces_enumerate_each_degree_once_and_keep_none(cubic_squares, monkeypa
     assert sorted(seen) == [8, 22]
     assert eng._pieces(7, 22) == first
     assert sorted(seen) == [8, 8, 22, 22]
+
+
+def test_pieces_key_each_degree_once_and_move_whole_classes(cubic_squares, monkeypatch):
+    # degree 22 (66 monomials) and the shared source degree 8 (24 monomials,
+    # 9 classes) are keyed once each; each of x^2, y^2 and z^2 then moves
+    # the 9 source classes by their keys alone
+    ring, ideal = cubic_squares
+    eng = MembershipEngine(ring, ideal)
+    sizes = []
+    class_keys = engine.class_keys
+
+    def spied(echelon, vectors):
+        vectors = list(vectors)
+        sizes.append(len(vectors))
+        return class_keys(echelon, vectors)
+
+    monkeypatch.setattr(engine, "class_keys", spied)
+    eng._pieces(7, 22)
+    assert sizes == [66, 24, 9, 9, 9]
 
 
 def test_non_primary_ideal_never_contains():
