@@ -21,20 +21,24 @@ A class is keyed by its canonical representative (``class_keys``), which
 differs from each of its monomials by a lattice vector.  Monomials differ by
 a lattice vector exactly when their shifts by q * exp(f_i) do, so the shift
 is one to one on classes: generator i's columns in a class are one whole
-class of R_{m - q*d_i}, which the class map {key: ``Piece``} moves by its key
-alone, rows and columns kept in relative order.  Membership solves only the
-classes of NF(h): false only when one has no solution, true only once the
-certificate re-verifies.  Containment ranks one class at a time.  Classes
-share no rows and no columns, so every pivot and certificate is the one a
-whole-degree solve would give.  All of this is plain Python: a class is
-assembled as a ``linalg.SparseMatrix`` of dict rows, and only linalg's dense
-finish, for a class that fills in, imports numpy.
+class of R_{m - q*d_i}, the coset of the key minus q * exp(f_i), rows and
+columns kept in relative order.  Membership solves only the classes of
+NF(h), each walked from its key by ``groebner.coset_monomials`` without
+building any whole degree: false only when one has no solution, true only
+once the certificate re-verifies.  Containment needs every class, and ranks
+them one at a time from the class map {key: ``Piece``}, which splits each
+whole-degree basis.  Classes share no rows and no columns, so every pivot
+and certificate is the one a whole-degree solve would give.  All of this is
+plain Python: a class is assembled as a ``linalg.SparseMatrix`` of dict
+rows, and only linalg's dense finish, for a class that fills in, imports
+numpy.
 """
 
 from collections import namedtuple
 
 from . import linalg
 from .bounds import compute_nu, inclusion_threshold
+from .groebner import coset_monomials
 from .polynomials import Polynomial, check_p_power, monomial_mul
 from .rings import AssumptionMissing
 
@@ -186,11 +190,13 @@ FrobeniusClosureReport = namedtuple(
 class MembershipEngine:
     """Membership/containment machinery for one (ring, ideal) pair; caches
     the normal forms of generator Frobenius powers (the ring caches monomial
-    normal forms; graded bases are built per _pieces call, and not kept).
+    normal forms; whole-degree bases are built per _pieces call, and not
+    kept, and membership builds none).
 
     check_matrix_size is the one place that sizes a membership matrix, by
-    Hilbert function; the classes _pieces splits it into have exactly that
-    shape in sum, and _assemble builds one class.  _shape_verdict answers
+    Hilbert function; the classes _pieces splits it into for containment
+    have exactly that shape in sum, _piece walks the one class of a key for
+    membership, and _assemble builds one class.  _shape_verdict answers
     containment from the whole shape alone, assembling nothing, when the
     matrix has fewer columns than rows.
 
@@ -247,15 +253,16 @@ class MembershipEngine:
     def _pieces(self, q, m):
         """The class map of the degree-m matrix for q: {class key: Piece},
         keys in order of first appearance (row classes, then column classes
-        in generator order).  The graded basis of each distinct degree, m
-        and each m - q*d, is built and split into classes once, and held
-        for this call only.  Two monomials differ by a lattice vector
-        exactly when their shifts by q*exp(f_i) do, so the shift is one to
-        one on classes: generator i's columns in a class are one whole
-        source class, in basis order, moved by its key (which differs from
-        its monomials by lattice vectors).  A source degree below 0 has an
-        empty basis, and a generator power that is zero in R still gives
-        its columns, so the shapes sum to check_matrix_size(q, m)."""
+        in generator order), for containment, which needs every class.  The
+        graded basis of each distinct degree, m and each m - q*d, is built
+        and split into classes once, and held for this call only.  Two
+        monomials differ by a lattice vector exactly when their shifts by
+        q*exp(f_i) do, so the shift is one to one on classes: generator i's
+        columns in a class are one whole source class, in basis order, moved
+        by its key (which differs from its monomials by lattice vectors).  A
+        source degree below 0 has an empty basis, and a generator power that
+        is zero in R still gives its columns, so the shapes sum to
+        check_matrix_size(q, m)."""
         split = {}
         for s in dict.fromkeys([m] + [m - q * d for d in self.ideal.degrees]):
             basis = self.ring.graded_basis(s)
@@ -271,6 +278,20 @@ class MembershipEngine:
                 cols = pieces.setdefault(key, Piece([], [])).cols
                 cols.extend((i, mono) for mono in monos)
         return pieces
+
+    def _piece(self, q, m, key):
+        """The class of the degree-m matrix for q with this key, _pieces(q,
+        m)[key] for a key that has rows, walked from the key alone: the rows
+        are the standard monomials of degree m in key + L, and generator i's
+        columns those of degree m - q*d_i in key - q*exp(f_i) + L, the one
+        source class the shift moves onto it."""
+        gb = self.ring.groebner_basis()
+        cols = []
+        for i, d in enumerate(self.ideal.degrees):
+            source = [k - q * a for k, a in zip(key, self._exponents[i])]
+            cols.extend((i, mono) for mono in coset_monomials(
+                gb, self._echelon, source, m - q * d))
+        return Piece(coset_monomials(gb, self._echelon, key, m), cols)
 
     def _assemble(self, q, piece):
         """Rows, columns and sparse matrix of one class of the degree-m
@@ -333,14 +354,20 @@ class MembershipEngine:
         ring = self.ring
         hn = ring.normal_form(h)
         # I^[q] is L-homogeneous: h is a member exactly when each class
-        # component of NF(h) is, and the solution is 0 on every other class;
-        # a zero NF(h) touches no class and needs no class map
-        touched = dict.fromkeys(class_keys(self._echelon, hn.terms))
-        pieces = self._pieces(q, m) if touched else {}
+        # component of NF(h) is, and the solution is 0 on every other class
+        touched = {}
+        for key in class_keys(self._echelon, hn.terms):
+            touched[key] = touched.get(key, 0) + 1
         coeff_terms = [dict() for _ in self.ideal.generators]
-        for key in touched:
-            rows, col_meta, A = self._assemble(q, pieces[key])
-            b = [hn.terms.get(mono, 0) for mono in rows]
+        for key, count in touched.items():
+            piece = self._piece(q, m, key)
+            b = [hn.terms.get(mono, 0) for mono in piece.rows]
+            if len(b) - b.count(0) != count:
+                raise AssertionError(
+                    "a term of the normal form is not a standard monomial of "
+                    "its class: the class walk and normal-form reduction disagree"
+                )
+            _, col_meta, A = self._assemble(q, piece)
             x = linalg.solve_mod(A, b, ring.p)
             if x is None:
                 return MembershipCertificate(False, h, q)

@@ -1,13 +1,13 @@
-"""Buchberger's algorithm, normal forms and the standard monomials of each
-degree (one recursion pruned by leading monomials), all in grevlex, the
-package's one monomial order.
+"""Buchberger's algorithm, normal forms, and the standard monomials of each
+degree and of each coset of a lattice in a degree (recursions pruned by
+leading monomials), all in grevlex, the package's one monomial order.
 
 Desk-scale inputs only: pair pruning uses just the coprime-lead criterion,
 pair selection is the normal strategy (smallest lcm in grevlex, ties by
 index), and a degree cap guards against runaway computations.
 """
 
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .polynomials import (
     Polynomial,
@@ -36,6 +36,12 @@ class GroebnerBasis:
         self.generators = list(generators)
         self.num_vars = num_vars
         self.leading_monomials = tuple(g.leading_monomial() for g in self.generators)
+        # leads_by_last[i]: the leads whose last variable is x_i, cut to
+        # x_0..x_i, which the standard-monomial walks test once x_i is fixed
+        self.leads_by_last = tuple([] for _ in range(num_vars))
+        for lm in self.leading_monomials:
+            last = max((i for i, e in enumerate(lm) if e), default=0)
+            self.leads_by_last[last].append(lm[: last + 1])
 
     def __iter__(self):
         return iter(self.generators)
@@ -176,11 +182,7 @@ def standard_monomials(gb, m):
     if m < 0:
         return []
     n = gb.num_vars
-    # by_last[i]: leads whose last variable is x_i, cut to x_0..x_i
-    by_last = [[] for _ in range(n)]
-    for lm in gb.leading_monomials:
-        last = max((i for i, e in enumerate(lm) if e), default=0)
-        by_last[last].append(lm[: last + 1])
+    by_last = gb.leads_by_last
     out = []
 
     def walk(i, prefix, deg):
@@ -198,5 +200,64 @@ def standard_monomials(gb, m):
 
     walk(0, (), 0)
     # within one degree, grevlex descending is the reversed exponents ascending
+    out.sort(key=_reversed)
+    return out
+
+
+def coset_monomials(gb, echelon, start, m):
+    """Degree-m monomials in the coset start + L not divisible by any leading
+    monomial of gb, in standard_monomials' order.  L is the lattice with this
+    echelon basis: (pivot, row) pairs, pivots increasing, each row zero
+    before its pivot and positive at it (``engine.lattice_echelon``).
+
+    A member of the coset is start + sum_j t_j * row_j.  One recursion fixes
+    coordinates left to right: those before the first pivot are start's;
+    pivot c steps by row[c] from its least value >= 0, and each step settles
+    every coordinate up to the next pivot, which no later row touches.  A
+    negative settled coordinate, a degree so far above m, or a lead ending
+    at a settled coordinate that divides the prefix skips the step; at the
+    pivot itself the last two end the loop, since v[c] only grows.
+    """
+    by_last = gb.leads_by_last
+    pivots = [c for c, _ in echelon]
+    # (pivot, row, next pivot or n): a step settles the coordinates between
+    ends = pivots[1:] + [gb.num_vars]
+    steps = [(c, row, end) for (c, row), end in zip(echelon, ends)]
+    out = []
+
+    def settle(v, lo, hi, deg):
+        """Degree of v[:hi] given deg that of v[:lo], or None when one of the
+        coordinates lo..hi-1 rules v out."""
+        for i in range(lo, hi):
+            deg += v[i]
+            if v[i] < 0 or deg > m:
+                return None
+            leads = by_last[i]
+            if leads and any(monomial_divides(lm, v) for lm in leads):
+                return None
+        return deg
+
+    def walk(j, v, deg):
+        if j == len(steps):
+            if deg == m:
+                out.append(tuple(v))
+            return
+        c, row, end = steps[j]
+        # the least t with v[c] + t * row[c] >= 0
+        t = -(v[c] // row[c])
+        v = [a + t * b for a, b in zip(v, row)]
+        leads = by_last[c]
+        while deg + v[c] <= m:
+            if leads and any(monomial_divides(lm, v) for lm in leads):
+                break
+            rest = settle(v, c + 1, end, deg + v[c])
+            if rest is not None:
+                walk(j + 1, v, rest)
+            v = list(map(add, v, row))
+
+    start = list(start)
+    deg = settle(start, 0, pivots[0] if pivots else gb.num_vars, 0)
+    if deg is not None:
+        walk(0, start, deg)
     out.sort(key=_reversed)
     return out

@@ -1,5 +1,6 @@
-"""The fine grading by Z^N/L: canonical class keys, and the class-split
-membership matrices against a whole-degree reference built here."""
+"""The fine grading by Z^N/L: canonical class keys, the class-split
+membership matrices against a whole-degree reference built here, and the
+walk of one class against the filtered whole-degree basis."""
 
 import itertools
 import random
@@ -7,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from frobpow import linalg
+from frobpow import engine, linalg
 from frobpow.engine import (
     IdealSpec,
     MembershipEngine,
@@ -15,11 +16,11 @@ from frobpow.engine import (
     class_keys,
     lattice_echelon,
 )
-from frobpow.groebner import monomials_of_degree
+from frobpow.groebner import coset_monomials, monomials_of_degree
 from frobpow.polynomials import Polynomial, monomial_mul
 from frobpow.rings import RingPresentation
 
-from conftest import fermat_cubic_ring
+from conftest import fermat_cubic_ring, fermat_quartic_ring
 
 # -- class keys --------------------------------------------------------------
 
@@ -370,3 +371,184 @@ def test_class_map_matches_keying_each_monomial(p):
             seen_shared += any(len({i for i, _ in piece.cols}) > 1
                                for _, piece in pieces)
     assert seen_split and seen_shared
+
+
+# -- the walk of one class against the filtered whole degree -----------------
+
+
+def _quadrics_problem(rng, p):
+    """Two random quadrics in four variables, a complete intersection, with
+    the squares as generators: L is the whole sum-zero lattice."""
+    n = 4
+    monos = list(monomials_of_degree(n, 2))
+    while True:
+        relations = [Polynomial(p, n, {mono: rng.randrange(p) for mono in monos})
+                     for _ in range(2)]
+        try:
+            ring = RingPresentation(p, ("x", "y", "z", "w"), relations)
+        except ValueError:
+            continue
+        break
+    return MembershipEngine(ring, IdealSpec.from_strings(
+        ring, ["x^2", "y^2", "z^2", "w^2"]))
+
+
+def _binomials_problem(rng, p):
+    """Random binomial relations of degrees 2 and 3 (a complete
+    intersection) in four variables, with one monomial and one binomial
+    generator: echelon rows with negative entries after their pivot."""
+    n = 4
+    while True:
+        relations = [_random_binomial(rng, p, n, d) for d in (2, 3)]
+        try:
+            ring = RingPresentation(p, ("x", "y", "z", "w"), relations)
+        except ValueError:
+            continue
+        break
+    gens = (Polynomial(p, n, {_random_monomial(rng, n, 2): 1}),
+            _random_binomial(rng, p, n, 1))
+    return MembershipEngine(ring, IdealSpec(gens))
+
+
+def _walk_cases(rng, p):
+    """(name, engine, q, degrees) over the lattices the walk must cover."""
+    quartic = fermat_quartic_ring(p)
+    # no relations and a monomial ideal: L = 0, each class one monomial
+    polynomial = RingPresentation(p, ("x", "y", "z"))
+    # a monomial relation: the class of x*y^2 holds no standard monomial
+    monomial_relation = RingPresentation(
+        p, ("x", "y", "z"), [Polynomial(p, 3, {(1, 2, 0): 1})])
+    return [
+        ("fermat quartic", MembershipEngine(quartic, IdealSpec.from_strings(
+            quartic, ["x^3", "y^3", "z^3", "w^3"])), p, range(3 * p - 2, 3 * p + 9)),
+        ("binomials", _binomials_problem(rng, p), 1, range(0, 9)),
+        ("binomials", _binomials_problem(rng, p), p, range(p, p + 6)),
+        ("L = 0", MembershipEngine(polynomial, IdealSpec.from_strings(
+            polynomial, ["x^2", "y*z", "z^3"])), p, range(0, 2 * p + 4)),
+        ("quadrics", _quadrics_problem(rng, p), p, range(2 * p - 1, 2 * p + 4)),
+        ("empty class", MembershipEngine(monomial_relation, IdealSpec.from_strings(
+            monomial_relation, ["x*y", "z^2"])), 1, range(0, 7)),
+    ]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_coset_walk_matches_the_filtered_graded_basis(p):
+    rng = random.Random(1000 + p)
+    seen = dict.fromkeys(("pivot 4", "negative", "L = 0", "one class",
+                          "no standard monomial", "negative source"), 0)
+    for name, eng, q, degrees in _walk_cases(rng, p):
+        ring, echelon = eng.ring, eng._echelon
+        gb = ring.groebner_basis()
+        seen["pivot 4"] += any(row[c] == 4 for c, row in echelon)
+        seen["negative"] += any(a < 0 for c, row in echelon for a in row[c + 1:])
+        seen["L = 0"] += not echelon
+        seen["one class"] += len(echelon) == ring.num_vars - 1
+        for m in degrees:
+            basis = ring.graded_basis(m)
+            split = {}
+            for key, mono in zip(class_keys(echelon, basis), basis):
+                split.setdefault(key, []).append(mono)
+            for key, monos in split.items():
+                assert coset_monomials(gb, echelon, key, m) == monos, (name, m, key)
+            # a coset of degree m has no monomial of another degree
+            for key in list(split)[:2]:
+                assert coset_monomials(gb, echelon, key, m + 1) == []
+                assert coset_monomials(gb, echelon, key, m - 1) == []
+            # classes of random monomials, with or without standard ones,
+            # walked from a random member rather than the key
+            monos = list(monomials_of_degree(ring.num_vars, m))
+            for mono in rng.sample(monos, min(len(monos), 8)):
+                key = class_keys(echelon, [mono])[0]
+                expected = split.get(key, [])
+                seen["no standard monomial"] += not expected
+                assert coset_monomials(gb, echelon, mono, m) == expected, (name, m)
+            # membership's class against the class map, at every class with
+            # rows; a source degree below 0 gives that generator no columns
+            pieces = eng._pieces(q, m)
+            seen["negative source"] += m < q * max(eng.ideal.degrees)
+            for key, piece in pieces.items():
+                if piece.rows:
+                    assert eng._piece(q, m, key) == piece, (name, m, key)
+        assert coset_monomials(gb, echelon, (0,) * ring.num_vars, -1) == []
+    assert all(seen.values()), seen
+
+
+def _assembled(monkeypatch):
+    """The pieces membership hands to _assemble, recorded in order."""
+    pieces, assemble = [], MembershipEngine._assemble
+
+    def recorded(self, q, piece):
+        pieces.append(piece)
+        return assemble(self, q, piece)
+
+    monkeypatch.setattr(MembershipEngine, "_assemble", recorded)
+    return pieces
+
+
+def test_membership_solves_the_classes_of_the_class_map(monkeypatch):
+    # every piece membership assembles is the class map's piece of its key,
+    # taken in the order of NF(h)'s terms up to the first unsolvable one
+    rng = random.Random(5)
+    pieces = _assembled(monkeypatch)
+    seen_member = seen_split = 0
+    for _, eng, q, degrees in _walk_cases(rng, 3):
+        for m in degrees[-2:]:
+            elements, _ = _elements(eng, rng, q, m)
+            for h in elements:
+                del pieces[:]
+                member = eng.membership(q, h).member
+                touched = list(dict.fromkeys(class_keys(
+                    eng._echelon, eng.ring.normal_form(h).terms)))
+                keys = [class_keys(eng._echelon, [piece.rows[0]])[0]
+                        for piece in pieces]
+                assert keys == (touched if member else touched[: len(keys)])
+                class_map = eng._pieces(q, m)
+                assert pieces == [class_map[key] for key in keys]
+                seen_member += member
+                seen_split += len(pieces) > 1
+    assert seen_member and seen_split
+
+
+def test_membership_refuses_a_term_outside_its_class_rows(monkeypatch):
+    # a walk that drops one row holding a term of NF(h) must end in the
+    # assertion, not in member = false
+    ring = fermat_quartic_ring(3)
+    eng = MembershipEngine(ring, IdealSpec.from_strings(
+        ring, ["x^3", "y^3", "z^3", "w^3"]))
+    h = ring.parse("x") * ring.parse("x^2*y^2*z^2*w^2").frobenius_power(9)
+    mono = next(iter(ring.normal_form(h).terms))
+    walk = engine.coset_monomials
+
+    def dropped(gb, echelon, start, m):
+        return [v for v in walk(gb, echelon, start, m) if v != mono]
+
+    monkeypatch.setattr(engine, "coset_monomials", dropped)
+    with pytest.raises(AssertionError, match="not a standard monomial of its class"):
+        eng.membership(9, h)
+
+
+def test_membership_builds_no_whole_degree_basis(monkeypatch):
+    # the q = 9 witness on the Fermat quartic walks its one class; only the
+    # containment test, which needs every class, builds whole degrees
+    ring = fermat_quartic_ring(3)
+    eng = MembershipEngine(ring, IdealSpec.from_strings(
+        ring, ["x^3", "y^3", "z^3", "w^3"]))
+    calls, graded_basis = [], RingPresentation.graded_basis
+
+    def refused(self, m):
+        raise AssertionError(f"whole-degree basis built in degree {m}")
+
+    monkeypatch.setattr(RingPresentation, "graded_basis", refused)
+    h = ring.parse("x") * ring.parse("x^2*y^2*z^2*w^2").frobenius_power(9)
+    assert eng.membership(9, h).member
+
+    def counted(self, m):
+        calls.append(m)
+        return graded_basis(self, m)
+
+    monkeypatch.setattr(RingPresentation, "graded_basis", counted)
+    # degree 18 is the first whose Hilbert shape leaves the q = 3 test to
+    # the classes; its source degree is 18 - 3 * 3
+    assert eng._shape_verdict(3, 18) is None
+    eng.degree_containment(3, 18)
+    assert sorted(calls) == [9, 18]

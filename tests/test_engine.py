@@ -88,7 +88,7 @@ def test_zero_element_is_member():
 
 def test_zero_normal_form_is_a_verified_member(cubic_squares, monkeypatch):
     # x * (x^3 + y^3 + z^3) is zero in R: it touches no class, so no class
-    # map is built, and its zero certificate is still re-verified
+    # is walked, and its zero certificate is still re-verified
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)
     verified, verify = [], MembershipEngine._verify_certificate
@@ -97,11 +97,11 @@ def test_zero_normal_form_is_a_verified_member(cubic_squares, monkeypatch):
         verified.append(coeffs)
         return verify(self, q, h, coeffs)
 
-    def no_class_map(self, q, m):
-        raise AssertionError(f"class map built in degree {m} for q={q}")
+    def no_class(self, q, m, key):
+        raise AssertionError(f"class {key} walked in degree {m} for q={q}")
 
     monkeypatch.setattr(MembershipEngine, "_verify_certificate", recorded)
-    monkeypatch.setattr(MembershipEngine, "_pieces", no_class_map)
+    monkeypatch.setattr(MembershipEngine, "_piece", no_class)
     h = ring.parse("x") * ring.parse("x^3+y^3+z^3")
     assert not h.is_zero() and ring.normal_form(h).is_zero()
     cert = eng.membership(7, h)
