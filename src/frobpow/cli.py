@@ -5,9 +5,10 @@ tight, frobenius.  Reports serialize deterministically (stable key order, no
 timestamps in the payload); timings live in a separate envelope field.
 
 Exit codes: 0 success, 1 computation refusal (missing assumption flag,
-matrix-size guard, Groebner degree cap, or memory that cannot be allocated),
-2 input error (including a problem file that cannot be read as UTF-8 text and
-an --out file that cannot be written).
+matrix-size guard, Groebner degree cap, or memory that cannot be allocated)
+or internal error (a failed cross-check, such as certificate
+re-verification), 2 input error (including a problem file that cannot be
+read as UTF-8 text and an --out file that cannot be written).
 """
 
 import argparse
@@ -479,6 +480,11 @@ def run_command(argv):
         # numpy's allocation failures subclass MemoryError; an abort inside
         # BLAS cannot be caught
         print("refusal: out of memory", file=sys.stderr)
+        return 1
+    except AssertionError as exc:
+        # a failed internal cross-check, such as certificate re-verification:
+        # a fault in the program, not in the input
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
     if not args.out:
         sys.stdout.write(out)

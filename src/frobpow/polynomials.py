@@ -13,6 +13,7 @@ order of terms in ``poly_format``.
 
 import functools
 import re
+from operator import add, le, sub
 
 
 class PolyError(ValueError):
@@ -20,7 +21,8 @@ class PolyError(ValueError):
 
 
 class ParseError(PolyError):
-    """Syntax error in a polynomial string, with the byte offset of the problem."""
+    """Syntax error in a polynomial string, with the character offset of the
+    problem (an index into the str, not into its UTF-8 bytes)."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
@@ -76,21 +78,21 @@ def check_p_power(q, p):
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b):
     """True if monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_quotient(b, a):
     """b / a, assuming a divides b."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_degree(m):
@@ -263,7 +265,9 @@ class Polynomial:
 # -- parsing / formatting --------------------------------------------------
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_INT = re.compile(r"\d+")
+# optional whitespace, then one token: an integer, an identifier, any other
+# character, or the end of the text (the empty token)
+_TOKEN = re.compile(rf"\s*((\d+)|({_IDENT.pattern})|\S|\Z)")
 
 
 def poly_parse(text, var_names, p):
@@ -274,91 +278,56 @@ def poly_parse(text, var_names, p):
              factor     ::= var ['^' positiveint]
     Whitespace is insignificant.  Variable names are case-sensitive.
     """
+    if not text.strip():
+        raise ParseError("empty polynomial", len(text))
     n = len(var_names)
-    var_index = {name: i for i, name in enumerate(var_names)}
-    s = text
-    pos = 0
+    index = {name: i for i, name in enumerate(var_names)}
     terms = {}
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-
-    def parse_int():
-        nonlocal pos
-        m = _INT.match(s, pos)
-        if not m:
-            raise ParseError("expected integer", pos)
-        pos = m.end()
-        return int(m.group())
-
-    def parse_factor(exps):
-        nonlocal pos
-        m = _IDENT.match(s, pos)
-        name = m.group()
-        if name not in var_index:
-            raise ParseError(f"unknown variable {name!r}", pos)
-        pos = m.end()
-        skip_ws()
-        e = 1
-        if pos < len(s) and s[pos] == "^":
-            pos += 1
-            skip_ws()
-            e = parse_int()
+    # state says what the token before was: "start" (none), "term" (a sign),
+    # "factor" ('*'), "caret" (a variable, which '^' may follow), "exp"
+    # ('^'), or "more" (a coefficient or exponent)
+    state, sign, coeff, exps = "start", 1, 1, [0] * n
+    for m in _TOKEN.finditer(text):
+        tok, num, name = m.groups()
+        pos = m.start(1)
+        if state == "exp":
+            if num is None:
+                raise ParseError("expected integer", pos)
+            e = int(num)
             if e < 1:
-                raise ParseError("exponent must be positive", pos)
-        exps[var_index[name]] += e
-
-    def parse_term():
-        nonlocal pos
-        coeff = 1
-        exps = [0] * n
-        saw_any = False
-        skip_ws()
-        if pos < len(s) and s[pos].isdigit():
-            coeff = parse_int()
-            saw_any = True
-            skip_ws()
-        while pos < len(s):
-            if s[pos] == "*":
-                pos += 1
-                skip_ws()
-                if not (pos < len(s) and _IDENT.match(s, pos)):
-                    raise ParseError("expected variable after '*'", pos)
-                parse_factor(exps)
-                saw_any = True
-            elif _IDENT.match(s, pos):
-                parse_factor(exps)
-                saw_any = True
-            else:
-                break
-            skip_ws()
-        if not saw_any:
-            raise ParseError("expected term", pos)
-        return coeff, tuple(exps)
-
-    skip_ws()
-    if pos >= len(s):
-        raise ParseError("empty polynomial", pos)
-    sign = 1
-    if s[pos] == "-":
-        sign = -1
-        pos += 1
-    while True:
-        coeff, mono = parse_term()
-        terms[mono] = terms.get(mono, 0) + sign * coeff
-        skip_ws()
-        if pos >= len(s):
-            break
-        if s[pos] == "+":
-            sign = 1
-        elif s[pos] == "-":
-            sign = -1
+                raise ParseError("exponent must be positive", m.end())
+            exps[var] += e - 1
+            state = "more"
+        elif state == "caret" and tok == "^":
+            state = "exp"
+        elif state == "start" and tok == "-":
+            sign, state = -1, "term"
+        elif tok == "*" and state != "factor":
+            state = "factor"
+        elif name is not None:
+            if name not in index:
+                raise ParseError(f"unknown variable {name!r}", pos)
+            var = index[name]
+            exps[var] += 1
+            state = "caret"
+        elif state in ("start", "term"):
+            if num is None:
+                # a character str.isdigit() accepts but \d does not, like '²'
+                raise ParseError(
+                    "expected integer" if tok.isdigit() else "expected term", pos
+                )
+            coeff, state = int(num), "more"
+        elif state == "factor":
+            raise ParseError("expected variable after '*'", pos)
         else:
-            raise ParseError(f"unexpected character {s[pos]!r}", pos)
-        pos += 1
-    return Polynomial(p, n, terms)
+            # the term ends, at '+', '-', an error or the end of the text,
+            # which always comes as a last, empty token
+            terms[tuple(exps)] = terms.get(tuple(exps), 0) + sign * coeff
+            if not tok:
+                return Polynomial(p, n, terms)
+            if tok not in ("+", "-"):
+                raise ParseError(f"unexpected character {tok[0]!r}", pos)
+            sign, state, coeff, exps = (1 if tok == "+" else -1), "term", 1, [0] * n
 
 
 def poly_format(f, var_names):

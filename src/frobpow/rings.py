@@ -20,7 +20,14 @@ import itertools
 import math
 
 from .groebner import GroebnerBasis, buchberger, standard_monomials
-from .polynomials import Polynomial, check_prime, poly_parse
+from .polynomials import (
+    Polynomial,
+    check_prime,
+    monomial_divides,
+    monomial_mul,
+    monomial_quotient,
+    poly_parse,
+)
 
 KNOWN_FLAGS = frozenset(
     {"normal_domain", "cohen_macaulay", "omega_invertible", "smooth_proj",
@@ -153,7 +160,7 @@ class RingPresentation:
         """The first (leading monomial, generator) of the Groebner basis whose
         leading monomial divides mono, or None when mono is standard."""
         for lm, g in self._leads:
-            if all(a <= b for a, b in zip(lm, mono)):
+            if monomial_divides(lm, mono):
                 return lm, g
         return None
 
@@ -199,11 +206,11 @@ class RingPresentation:
                 ]
             else:
                 lm, g = reducer
-                shift = tuple(b - a for a, b in zip(lm, cur))
+                shift = monomial_quotient(cur, lm)
                 # cur = x^shift * lm(g) and g is monic: in R, cur is the sum
                 # of the negated tail of x^shift * g
                 terms = [
-                    (tuple(x + y for x, y in zip(m2, shift)), -c2)
+                    (monomial_mul(m2, shift), -c2)
                     for m2, c2 in g.terms.items()
                     if m2 != lm
                 ]

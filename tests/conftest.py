@@ -26,6 +26,21 @@ def fermat_quartic_ring(p=3, flags=ALL_FLAGS):
     )
 
 
+def off_by_one(solve_mod):
+    """solve_mod with the first nonzero coordinate of each solution raised by
+    1 mod p: a wrong certificate that only the re-check can catch."""
+
+    def perturbed(A, b, p):
+        x = solve_mod(A, b, p)
+        if x is not None:
+            j = next(j for j, v in enumerate(x) if v)
+            x = list(x)
+            x[j] = (x[j] + 1) % p
+        return x
+
+    return perturbed
+
+
 @pytest.fixture
 def cubic():
     return fermat_cubic_ring()

@@ -16,7 +16,7 @@ from frobpow.cli import (
 )
 from frobpow.engine import MembershipEngine
 
-from conftest import FERMAT_CUBIC_FPB
+from conftest import FERMAT_CUBIC_FPB, off_by_one
 
 PARAM_FPB = """\
 [ring]
@@ -197,6 +197,21 @@ def test_tight_command(fermat_cubic_file, tmp_path, capsys):
 
 
 # -- exit codes and refusals -----------------------------------------------
+
+def test_failed_re_check_is_one_internal_error_line(
+    fermat_cubic_file, capsys, monkeypatch
+):
+    monkeypatch.setattr(linalg, "solve_mod", off_by_one(linalg.solve_mod))
+    argv = ["member", fermat_cubic_file, "--q", "7", "--elem", "x^8*y^8*z^6"]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: certificate identity failed to re-verify"
+    )
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
 
 def test_missing_flag_turns_success_into_refusal(tmp_path, capsys):
     ok = write(tmp_path, FERMAT_CUBIC_FPB, "ok.fpb")

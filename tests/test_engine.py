@@ -18,7 +18,12 @@ from frobpow.groebner import monomials_of_degree
 from frobpow.polynomials import Polynomial, poly_parse
 from frobpow.rings import RingPresentation
 
-from conftest import ALL_FLAGS, fermat_cubic_ring, fermat_quartic_ring
+from conftest import (
+    ALL_FLAGS,
+    fermat_cubic_ring,
+    fermat_quartic_ring,
+    off_by_one,
+)
 
 XY = ("x", "y")
 
@@ -53,6 +58,14 @@ def test_certificate_identity_checked_independently(cubic_squares):
     for hi, g in zip(cert.coefficients, ideal.generators):
         total = total + hi * g.frobenius_power(7)
     assert ring.normal_form(h - total).is_zero()
+
+
+def test_wrong_certificate_fails_the_re_check(cubic_squares, monkeypatch):
+    ring, ideal = cubic_squares
+    eng = MembershipEngine(ring, ideal)
+    monkeypatch.setattr(linalg, "solve_mod", off_by_one(linalg.solve_mod))
+    with pytest.raises(AssertionError, match="certificate identity failed"):
+        eng.membership(7, ring.parse("x^8*y^8*z^6"))
 
 
 def test_xy_not_in_square_ideal_over_f2():

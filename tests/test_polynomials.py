@@ -83,6 +83,49 @@ def test_parse_syntax_error_offset():
     assert err.value.offset == 6
 
 
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("", "empty polynomial", 0),
+        ("   ", "empty polynomial", 3),
+        ("-", "expected term", 1),
+        ("x^", "expected integer", 2),
+        # points just past the exponent's digits
+        ("x^0", "exponent must be positive", 3),
+        ("x*", "expected variable after '*'", 2),
+        ("x*2", "expected variable after '*'", 2),
+        ("x +", "expected term", 3),
+        ("x $", "unexpected character '$'", 2),
+        ("x 2", "unexpected character '2'", 2),
+        ("x 23", "unexpected character '2'", 2),
+        # a digit to str.isdigit() but not a decimal digit
+        ("\u00b2x", "expected integer", 0),
+        # offsets count characters: the UTF-8 byte offset of the last one is 5
+        ("x + \u00b2", "expected integer", 4),
+        ("q", "unknown variable 'q'", 0),
+    ],
+)
+def test_parse_error_message_and_offset(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        poly_parse(text, ("x", "y"), 5)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        # a non-breaking space is whitespace
+        ("x\u00a0+ y", {(1, 0): 1, (0, 1): 1}),
+        # a Unicode decimal digit is a coefficient
+        ("\u0663x", {(1, 0): 3}),
+        ("- *x  y\t^2\n+2 x", {(1, 2): 4, (1, 0): 2}),
+    ],
+)
+def test_parse_accepts_unicode_whitespace_and_digits(text, terms):
+    assert poly_parse(text, ("x", "y"), 5).terms == terms
+
+
 def test_parse_requires_prime():
     with pytest.raises(PolyError):
         poly_parse("x", ("x",), 6)
