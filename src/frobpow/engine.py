@@ -69,30 +69,28 @@ class MatrixTooLarge(RuntimeError):
 def lattice_echelon(vectors):
     """Echelon basis of the lattice the integer vectors span, as (pivot,
     row) pairs: pivots strictly increase, each row is zero before its pivot
-    and positive at it.  Integer row reduction by Euclid on each column."""
-    rows = [list(v) for v in vectors if any(v)]
-    basis = []
-    c = 0
-    while rows:
-        live = [r for r in rows if r[c]]
-        rows = [r for r in rows if not r[c]]
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[c]))
-            pivot = live[0]
-            kept = [pivot]
-            for r in live[1:]:
-                t = r[c] // pivot[c]
-                r = [a - t * b for a, b in zip(r, pivot)]
-                if r[c]:
-                    kept.append(r)
-                elif any(r):
-                    rows.append(r)
-            live = kept
-        if live:
-            pivot = live[0]
-            basis.append((c, pivot if pivot[c] > 0 else [-a for a in pivot]))
-        c += 1
-    return tuple(basis)
+    and positive at it.  Each vector is reduced in turn, column by column,
+    against the row that leads there, by Euclid: while the remainder is not
+    zero at that column, it and the row swap.  What is left is stored, with
+    its sign made positive, at the first column where no row leads."""
+    rows = {}
+    for v in vectors:
+        v = list(v)
+        for c in range(len(v)):
+            if not v[c]:
+                continue
+            row = rows.get(c)
+            if row is None:
+                rows[c] = v if v[c] > 0 else [-a for a in v]
+                break
+            while v[c]:
+                t = v[c] // row[c]
+                v = [a - t * b for a, b in zip(v, row)]
+                if v[c]:
+                    # a remainder of a positive row[c] is positive
+                    row, v = v, row
+            rows[c] = row
+    return tuple(sorted(rows.items()))
 
 
 def class_keys(echelon, vectors):

@@ -211,53 +211,36 @@ def coset_monomials(gb, echelon, start, m):
     before its pivot and positive at it (``engine.lattice_echelon``).
 
     A member of the coset is start + sum_j t_j * row_j.  One recursion fixes
-    coordinates left to right: those before the first pivot are start's;
-    pivot c steps by row[c] from its least value >= 0, and each step settles
-    every coordinate up to the next pivot, which no later row touches.  A
-    negative settled coordinate, a degree so far above m, or a lead ending
-    at a settled coordinate that divides the prefix skips the step; at the
-    pivot itself the last two end the loop, since v[c] only grows.
+    the coordinates 0..N-1 in turn.  A pivot coordinate steps by its row
+    from its least value >= 0; any other keeps the value the earlier steps
+    left, since no later row touches it.  A negative value, a degree so far
+    above m, or a lead ending at the coordinate that divides the prefix ends
+    that coordinate's loop: no row steps an earlier coordinate, and a pivot
+    coordinate only grows.
     """
+    n = gb.num_vars
     by_last = gb.leads_by_last
-    pivots = [c for c, _ in echelon]
-    # (pivot, row, next pivot or n): a step settles the coordinates between
-    ends = pivots[1:] + [gb.num_vars]
-    steps = [(c, row, end) for (c, row), end in zip(echelon, ends)]
+    rows = dict(echelon)
     out = []
 
-    def settle(v, lo, hi, deg):
-        """Degree of v[:hi] given deg that of v[:lo], or None when one of the
-        coordinates lo..hi-1 rules v out."""
-        for i in range(lo, hi):
-            deg += v[i]
-            if v[i] < 0 or deg > m:
-                return None
-            leads = by_last[i]
-            if leads and any(monomial_divides(lm, v) for lm in leads):
-                return None
-        return deg
-
-    def walk(j, v, deg):
-        if j == len(steps):
-            if deg == m:
+    def walk(i, v, deg):
+        if i == n:
+            if deg == m:  # the last coordinate may leave the degree short
                 out.append(tuple(v))
             return
-        c, row, end = steps[j]
-        # the least t with v[c] + t * row[c] >= 0
-        t = -(v[c] // row[c])
-        v = [a + t * b for a, b in zip(v, row)]
-        leads = by_last[c]
-        while deg + v[c] <= m:
+        row = rows.get(i)
+        if row:
+            # the least t with v[i] + t * row[i] >= 0
+            t = -(v[i] // row[i])
+            v = [a + t * b for a, b in zip(v, row)]
+        leads = by_last[i]
+        while 0 <= v[i] <= m - deg:
             if leads and any(monomial_divides(lm, v) for lm in leads):
                 break
-            rest = settle(v, c + 1, end, deg + v[c])
-            if rest is not None:
-                walk(j + 1, v, rest)
+            walk(i + 1, v, deg + v[i])
+            if not row:
+                break
             v = list(map(add, v, row))
 
-    start = list(start)
-    deg = settle(start, 0, pivots[0] if pivots else gb.num_vars, 0)
-    if deg is not None:
-        walk(0, start, deg)
-    out.sort(key=_reversed)
-    return out
+    walk(0, list(start), 0)
+    return sorted(out, key=_reversed)

@@ -7,9 +7,9 @@ Each mutant replaces one line of the package with a faulty one.  For each,
 the script copies `src/`, `tests/` and `pyproject.toml` to a temporary
 directory, applies the mutant there (the checkout is never changed), and
 runs the named test nodes with `-x`.  A mutant is killed when those tests
-fail.  The script exits non-zero when a target line is not found exactly
-once, when the unmutated copy fails the named tests, or when any mutant
-survives.  A surviving mutant is a gap in the tests: add a test that kills
+fail or run past TIMEOUT seconds (a mutant may loop).  The script exits
+non-zero when a target line is not found exactly once, when the unmutated
+copy fails the named tests or times out, or when any mutant survives.  A surviving mutant is a gap in the tests: add a test that kills
 it, and keep it on the list.
 """
 
@@ -22,6 +22,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# seconds one pytest run may take; a mutant that loops is killed at this
+# limit, since the named tests pass on the unmutated copy in a few seconds
+TIMEOUT = 60
+
+WALK_ORACLE = "tests/test_classes.py::test_coset_walk_matches_a_brute_force_oracle"
+ECHELON = "tests/test_classes.py::test_lattice_echelon_has_increasing_positive_pivots"
 
 # (name, file under src/frobpow, line as written, faulty line, test nodes)
 MUTANTS = [
@@ -52,15 +59,69 @@ MUTANTS = [
             "tests/test_rings.py::test_ring_normal_form_consistent_with_division",
         ],
     ),
+    (
+        "coset_monomials drops its lead prune",
+        "groebner.py",
+        "            if leads and any(monomial_divides(lm, v) for lm in leads):",
+        "            if False:",
+        [WALK_ORACLE],
+    ),
+    (
+        "coset_monomials starts a pivot at its current value (t = 0)",
+        "groebner.py",
+        "            t = -(v[i] // row[i])",
+        "            t = 0",
+        [WALK_ORACLE],
+    ),
+    (
+        "coset_monomials keeps a leaf of any degree",
+        "groebner.py",
+        "            if deg == m:  # the last coordinate may leave the degree short",
+        "            if True:",
+        [WALK_ORACLE],
+    ),
+    (
+        "coset_monomials returns its walk unsorted",
+        "groebner.py",
+        "    return sorted(out, key=_reversed)",
+        "    return out",
+        [WALK_ORACLE],
+    ),
+    (
+        "lattice_echelon stores a new row without flipping its sign",
+        "engine.py",
+        "                rows[c] = v if v[c] > 0 else [-a for a in v]",
+        "                rows[c] = v",
+        [ECHELON],
+    ),
+    (
+        "lattice_echelon drops Euclid's swap (loops forever)",
+        "engine.py",
+        "                    row, v = v, row",
+        "                    pass",
+        [ECHELON],
+    ),
+    (
+        "class_keys skips the first echelon row",
+        "engine.py",
+        "        for c, d, support in steps:",
+        "        for c, d, support in steps[1:]:",
+        ["tests/test_classes.py::test_class_key_ignores_lattice_vectors"],
+    ),
 ]
 
 
 def run_tests(tree, nodes):
-    """Run the named nodes in the copy at tree; pytest's finished process."""
+    """Run the named nodes in the copy at tree: pytest's finished process, or
+    None when it ran past TIMEOUT seconds and was killed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            *nodes]
-    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    try:
+        return subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def copy_tree(dest):
@@ -77,9 +138,10 @@ def main():
         copy_tree(tree)
         nodes = sorted({node for *_, tests in MUTANTS for node in tests})
         baseline = run_tests(tree, nodes)
-        if baseline.returncode:
-            print(baseline.stdout + baseline.stderr)
-            print("the unmutated copy fails the named tests")
+        if baseline is None or baseline.returncode:
+            if baseline is not None:
+                print(baseline.stdout + baseline.stderr)
+            print("the unmutated copy fails the named tests, or times out")
             return 1
         for name, file, line, faulty, tests in MUTANTS:
             path = tree / "src" / "frobpow" / file
@@ -93,11 +155,14 @@ def main():
             lines[lines.index(line)] = faulty
             path.write_text("\n".join(lines), encoding="utf-8")
             started = time.perf_counter()
-            survived = run_tests(tree, tests).returncode == 0
+            result = run_tests(tree, tests)
             seconds = time.perf_counter() - started
             path.write_text(original, encoding="utf-8")
+            # a run that times out counts as killed
+            survived = result is not None and result.returncode == 0
+            timed_out = ", timed out" if result is None else ""
             print(f"{'SURVIVED' if survived else 'killed  '} {name} "
-                  f"({seconds:.1f} s)")
+                  f"({seconds:.1f} s{timed_out})")
             if survived:
                 failures.append(name)
     print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")

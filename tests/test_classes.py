@@ -16,8 +16,8 @@ from frobpow.engine import (
     class_keys,
     lattice_echelon,
 )
-from frobpow.groebner import coset_monomials, monomials_of_degree
-from frobpow.polynomials import Polynomial, monomial_mul
+from frobpow.groebner import GroebnerBasis, coset_monomials, monomials_of_degree
+from frobpow.polynomials import Polynomial, monomial_divides, monomial_mul
 from frobpow.rings import RingPresentation
 
 from conftest import fermat_cubic_ring, fermat_quartic_ring
@@ -471,6 +471,46 @@ def test_coset_walk_matches_the_filtered_graded_basis(p):
                     assert eng._piece(q, m, key) == piece, (name, m, key)
         assert coset_monomials(gb, echelon, (0,) * ring.num_vars, -1) == []
     assert all(seen.values()), seen
+
+
+def test_coset_walk_matches_a_brute_force_oracle():
+    # random lattices and lead sets, not only those of real rings: pivots
+    # with gaps, negative entries off the pivots, and starts that are not
+    # keys, some negative, walked in degrees from -1 up
+    rng = random.Random(28)
+    seen = dict.fromkeys(("gap", "negative entry", "negative start"), 0)
+    nonempty = 0
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        # a zero entry in half the coordinates leaves gaps between pivots
+        echelon = lattice_echelon(
+            [[a * rng.randint(0, 1) for a in _random_vector(rng, n, 4)]
+             for _ in range(rng.randint(0, n))])
+        leads = [lm for lm in (tuple(rng.randint(0, 3) for _ in range(n))
+                               for _ in range(rng.randint(0, 3))) if any(lm)]
+        gb = GroebnerBasis([Polynomial(2, n, {lm: 1}) for lm in leads], n)
+        pivots = [c for c, _ in echelon]
+        seen["gap"] += pivots != list(range(len(pivots)))
+        seen["negative entry"] += any(a < 0 for c, row in echelon for a in row[c + 1:])
+        for m in range(-1, 6):
+            standard = [mono for mono in monomials_of_degree(n, m)
+                        if not any(monomial_divides(lm, mono) for lm in leads)]
+            keys = class_keys(echelon, standard)
+            for _ in range(2):
+                # a standard monomial moved by lattice vectors, or any vector
+                start = (list(rng.choice(standard)) if standard and rng.random() < 0.7
+                         else _random_vector(rng, n, 6))
+                for _, row in echelon:
+                    t = rng.randint(-3, 3)
+                    start = [a + t * b for a, b in zip(start, row)]
+                seen["negative start"] += min(start) < 0
+                key = class_keys(echelon, [start])[0]
+                expected = sorted((mono for mono, k in zip(standard, keys) if k == key),
+                                  key=lambda mono: mono[::-1])
+                assert coset_monomials(gb, echelon, start, m) == expected, (
+                    echelon, leads, start, m)
+                nonempty += bool(expected)
+    assert nonempty >= 200 and all(seen.values()), (nonempty, seen)
 
 
 def _assembled(monkeypatch):
