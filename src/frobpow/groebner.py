@@ -24,6 +24,10 @@ from .polynomials import (
 _reversed = itemgetter(slice(None, None, -1))
 
 
+# the largest lcm degree of an S-pair that buchberger reduces
+DEGREE_CAP = 512
+
+
 class DegreeCapExceeded(RuntimeError):
     pass
 
@@ -98,11 +102,11 @@ def s_polynomial(f, g):
     )
 
 
-def buchberger(gens, degree_cap=512):
+def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by gens.
 
     Deterministic for a fixed input order.  Raises DegreeCapExceeded if a
-    pair not skipped as coprime has lcm degree above ``degree_cap``.
+    pair not skipped as coprime has lcm degree above ``DEGREE_CAP``.
     """
     basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
@@ -127,10 +131,10 @@ def buchberger(gens, degree_cap=512):
         if all(min(a, b) == 0 for a, b in zip(lmi, lmj)):
             continue
         lcm = monomial_lcm(lmi, lmj)
-        if monomial_degree(lcm) > degree_cap:
+        if monomial_degree(lcm) > DEGREE_CAP:
             raise DegreeCapExceeded(
                 f"Groebner basis needs an S-pair of lcm degree "
-                f"{monomial_degree(lcm)}, above the fixed degree cap {degree_cap}; "
+                f"{monomial_degree(lcm)}, above the fixed degree cap {DEGREE_CAP}; "
                 "relations this hard are not supported"
             )
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)

@@ -173,38 +173,24 @@ class RingPresentation:
         c x^t of NF(x^b), as Frobenius is a ring endomorphism of R and
         c^p = c in F_p; each t lies below x^b in grevlex, so each x^(r + p*t)
         lies below x^a.  Otherwise x^a is reduced one leading-monomial step.
-        Iterative, on an explicit stack, so that long chains cannot blow the
-        stack.
-        """
+        A post-order walk on an explicit stack, so that long chains cannot
+        blow the interpreter's stack: a monomial is popped in one place, then
+        cached or pushed back under the monomials it still misses."""
         cache = self._nf_cache
-        hit = cache.get(mono)
-        if hit is not None:
+        if (hit := cache.get(mono)) is not None:
             return hit
         p = self.p
         stack = [mono]
         while stack:
-            cur = stack[-1]
+            cur = stack.pop()
             if cur in cache:
-                stack.pop()
                 continue
             reducer = self._reducer(cur)
             if reducer is None:
                 cache[cur] = {cur: 1}
-                stack.pop()
                 continue
-            base = tuple(e // p for e in cur)
             # the guard: were x^base standard, the rule would give x^cur back
-            if self._reducer(base) is not None:
-                base_nf = cache.get(base)
-                if base_nf is None:
-                    stack.append(base)
-                    continue
-                rem = tuple(e % p for e in cur)
-                terms = [
-                    (tuple(r + p * e for r, e in zip(rem, t)), c)
-                    for t, c in base_nf.items()
-                ]
-            else:
+            elif self._reducer(base := tuple(e // p for e in cur)) is None:
                 lm, g = reducer
                 shift = monomial_quotient(cur, lm)
                 # cur = x^shift * lm(g) and g is monic: in R, cur is the sum
@@ -214,12 +200,21 @@ class RingPresentation:
                     for m2, c2 in g.terms.items()
                     if m2 != lm
                 ]
+            elif base in cache:
+                rem = tuple(e % p for e in cur)
+                terms = [
+                    (tuple(r + p * e for r, e in zip(rem, t)), c)
+                    for t, c in cache[base].items()
+                ]
+            else:
+                # NF(x^base) first; cur comes back to this test after it
+                stack += [cur, base]
+                continue
             missing = [m2 for m2, _ in terms if m2 not in cache]
             if missing:
-                stack.extend(missing)
+                stack += [cur, *missing]
                 continue
             cache[cur] = self.reduce(terms)
-            stack.pop()
         return cache[mono]
 
     def reduce(self, terms):

@@ -29,6 +29,7 @@ TIMEOUT = 60
 
 WALK_ORACLE = "tests/test_classes.py::test_coset_walk_matches_a_brute_force_oracle"
 ECHELON = "tests/test_classes.py::test_lattice_echelon_has_increasing_positive_pivots"
+MATMUL_TIER = "tests/test_linalg.py::test_matmul_mod_is_exact_just_past_each_float_tier"
 
 # (name, file under src/frobpow, line as written, faulty line, test nodes)
 MUTANTS = [
@@ -107,6 +108,62 @@ MUTANTS = [
         "        for c, d, support in steps:",
         "        for c, d, support in steps[1:]:",
         ["tests/test_classes.py::test_class_key_ignores_lattice_vectors"],
+    ),
+    (
+        "_eliminate skips the pivot-row normalization",
+        "linalg.py",
+        "                if inv != 1:",
+        "                if False:",
+        ["tests/test_linalg.py::test_solve_recovers_consistent_system"],
+    ),
+    (
+        "_peel counts a removed holder twice (takes a column with two holders)",
+        "linalg.py",
+        "                count[c] -= 1",
+        "                count[c] -= 2",
+        ["tests/test_linalg.py::test_structural_pivots_on_small_cases"],
+    ),
+    (
+        "_compact drops the last held column",
+        "linalg.py",
+        "    held = sorted(set().union(*pivots.values(), *rest))",
+        "    held = sorted(set().union(*pivots.values(), *rest))[:-1]",
+        ["tests/test_linalg.py::test_rank_finishes_dense_on_the_columns_it_holds"],
+    ),
+    (
+        "_matmul_mod takes float32 up to 2**25",
+        "linalg.py",
+        "        f = np.float32 if bound < 2**24 else np.float64",
+        "        f = np.float32 if bound < 2**25 else np.float64",
+        [MATMUL_TIER],
+    ),
+    (
+        "_matmul_mod takes float64 up to 2**54",
+        "linalg.py",
+        "    if k > 1 and bound < 2**53:",
+        "    if k > 1 and bound < 2**54:",
+        [MATMUL_TIER],
+    ),
+    (
+        "row_echelon_mod skips the forward substitution",
+        "linalg.py",
+        "            for j in range(k - 1):",
+        "            for j in range(0):",
+        ["tests/test_linalg.py::test_rank_and_solve_wider_than_one_panel"],
+    ),
+    (
+        "_packing is one bit narrower",
+        "engine.py",
+        "    width = m.bit_length()",
+        "    width = m.bit_length() - 1",
+        ["tests/test_classes.py::test_packed_assembly_matches_the_tuple_path"],
+    ),
+    (
+        "monomial_normal_form swaps r and b in the Frobenius rule",
+        "rings.py",
+        "                    (tuple(r + p * e for r, e in zip(rem, t)), c)",
+        "                    (tuple(e + p * r for r, e in zip(rem, t)), c)",
+        ["tests/test_rings.py::test_normal_form_matches_plain_division"],
     ),
 ]
 

@@ -88,6 +88,14 @@ def test_nu_rejects_too_few_generators():
         nu_strongly_semistable((2, 2), 3)
 
 
+@pytest.mark.parametrize("dim_ring", [1, 0])
+def test_nu_refuses_a_ring_of_dimension_below_two(dim_ring):
+    with pytest.raises(ValueError) as info:
+        nu_strongly_semistable((2, 2), dim_ring)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "need dim R >= 2"
+
+
 def test_nu_equals_top_syzygy_slope():
     rng = random.Random(3)
     for _ in range(30):

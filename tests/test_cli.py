@@ -185,6 +185,20 @@ def test_frobenius_command(fermat_cubic_file, tmp_path, capsys):
     assert [r["member"] for r in doc["payload"]["rows"]] == [False, False]
 
 
+@pytest.mark.parametrize("p, predicted", [(2, 4), (3, 3)])
+def test_frobenius_command_reports_the_predicted_q(tmp_path, capsys, p, predicted):
+    # a = 2 and nu = 2 on x^5 + y^5 + z^5 with I = (x, y); deg(xyz) = 3
+    text = (f"[ring]\nchar = {p}\nvars = x y z\nrelations = x^5+y^5+z^5\n"
+            "[ideal]\ngens = x ; y\n")
+    code, doc = run_json(
+        capsys, ["frobenius", write(tmp_path, text), "--emax", "2", "--f", "x*y*z"]
+    )
+    assert code == 0
+    payload = doc["payload"]
+    assert (payload["nu"], payload["predicted_sufficient_q"]) == ("2", predicted)
+    assert payload["found_e"] == 0
+
+
 def test_tight_command(fermat_cubic_file, tmp_path, capsys):
     text = FERMAT_CUBIC_FPB.replace("gens = x^2 ; y^2 ; z^2", "gens = x ; y")
     path = write(tmp_path, text)
@@ -436,6 +450,29 @@ def test_negative_cap_or_emax_is_a_usage_error(fermat_cubic_file, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "expected an integer >= 0" in captured.err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["member", "--q", "3", "--elem", "0"], "--elem"),
+    (["member", "--q", "3", "--elem", "x + y^2"], "--elem"),
+    (["tight", "--f", "x", "--c", "0"], "--c"),
+    (["frobenius", "--f", "x + y^2"], "--f"),
+])
+def test_zero_or_inhomogeneous_element_is_a_one_line_input_error(
+    tmp_path, capsys, argv, what
+):
+    path = write(tmp_path, PARAM_FPB)
+    assert run_command([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {what} must be nonzero and homogeneous\n"
+
+
+def test_emax_that_is_not_an_integer_is_a_usage_error(fermat_cubic_file, capsys):
+    assert run_command(["kq", fermat_cubic_file, "--emax", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --emax: expected an integer >= 0, got 'abc'" in captured.err
 
 
 def test_member_requires_q_and_elem(tmp_path, capsys):

@@ -496,6 +496,19 @@ def test_frobenius_closure_finds_immediate_member(cubic):
     assert len(rep.rows) == 1  # scan stops at the first success
 
 
+@pytest.mark.parametrize("p, predicted", [(2, 4), (3, 3)])
+def test_frobenius_closure_predicts_the_first_q_past_the_a_invariant(p, predicted):
+    # on x^5 + y^5 + z^5, a = 2 and the parameter ideal (x, y) has nu = 2, so
+    # xyz needs q * (3 - 2) > 2: the smallest power of p above 2
+    xyz = ("x", "y", "z")
+    ring = RingPresentation(p, xyz, [poly_parse("x^5+y^5+z^5", xyz, p)])
+    eng = engine_for(ring, ["x", "y"])
+    assert (eng.nu, ring.a_invariant()) == (2, 2)
+    rep = frobenius_closure_test(eng, ring.parse("x*y*z"), 2)
+    assert rep.predicted_sufficient_q == predicted
+    assert rep.found_e == 0
+
+
 def test_containment_and_closure_tests_reject_bad_inputs(cubic_squares):
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)

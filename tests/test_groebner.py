@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from frobpow import groebner
 from frobpow.groebner import (
     DegreeCapExceeded,
     GroebnerBasis,
@@ -24,8 +25,8 @@ XY = ("x", "y")
 XYZ = ("x", "y", "z")
 
 
-def gb_of(texts, names, p, **kw):
-    return buchberger([poly_parse(t, names, p) for t in texts], **kw)
+def gb_of(texts, names, p):
+    return buchberger([poly_parse(t, names, p) for t in texts])
 
 
 def test_principal_ideal_is_its_own_basis():
@@ -67,9 +68,13 @@ def test_buchberger_rejects_all_zero():
         buchberger([Polynomial.zero(5, 2)])
 
 
-def test_degree_cap_aborts_with_diagnostic():
-    with pytest.raises(DegreeCapExceeded):
-        gb_of(["x^2+y^2", "x*y"], XY, 5, degree_cap=2)
+def test_degree_cap_aborts_with_diagnostic(monkeypatch):
+    monkeypatch.setattr(groebner, "DEGREE_CAP", 2)
+    with pytest.raises(DegreeCapExceeded, match=(
+        "^Groebner basis needs an S-pair of lcm degree 3, above the fixed "
+        "degree cap 2; relations this hard are not supported$"
+    )):
+        gb_of(["x^2+y^2", "x*y"], XY, 5)
 
 
 def test_degree_cap_applies_only_to_pairs_the_coprime_criterion_keeps():

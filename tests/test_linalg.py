@@ -217,6 +217,18 @@ def test_rank_and_solve_exact_across_prime_bands(p):
     check_wide_low_rank(rng, p)
 
 
+# a 1 x k by k x 1 product of entries p - 2 is an odd sum just past a float
+# mantissa (2**24 for float32, 2**53 for float64), which a float product
+# rounds.  Its bound k * (p-1)**2 lies in [2**t, 2**(t+1)), so only a tier
+# that ends at exactly 2**t keeps it exact
+@pytest.mark.parametrize("p, k, t, exact", [(1291, 11, 24, 44), (67108859, 3, 53, 12)])
+def test_matmul_mod_is_exact_just_past_each_float_tier(p, k, t, exact):
+    assert 2**t <= k * (p - 1) ** 2 < 2 ** (t + 1)
+    A = np.full((1, k), p - 2, dtype=np.int64)
+    assert k * (p - 2) ** 2 % p == exact
+    assert int(linalg._matmul_mod(A, A.T, p)[0, 0]) % p == exact
+
+
 def check_wide_low_rank(rng, p):
     """Low-rank matrices wider than one elimination panel, their factors about
     half zeros: panels with fewer pivots than columns, row swaps, forward

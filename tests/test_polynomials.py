@@ -170,6 +170,25 @@ def test_modulus_mismatch_rejected():
         poly_parse("x", ("x",), 5) + poly_parse("x", ("x", "y"), 5)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Polynomial(5, 2, {(1, 2, 3): 1}), PolyError,
+     "monomial (1, 2, 3) has wrong arity for 2 vars"),
+    (lambda: Polynomial(5, 2, {(1, -1): 1}), PolyError,
+     "negative exponent in (1, -1)"),
+    (lambda: setattr(Polynomial(5, 2, {(1, 0): 1}), "p", 7), AttributeError,
+     "Polynomial is immutable"),
+    (lambda: Polynomial.zero(5, 2).leading_monomial(), PolyError,
+     "zero polynomial has no leading monomial"),
+    (lambda: Polynomial(5, 2, {(1, 0): 1}) ** -1, PolyError,
+     "negative exponent"),
+])
+def test_library_input_errors_name_their_cause(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_equal_polynomials_hash_equal_by_every_route():
     # one polynomial parsed in two term orders and built by arithmetic:
     # (x+2)(x+3) = x^2 + 1 over F_5

@@ -145,6 +145,22 @@ def test_rejects_unknown_flag():
         RingPresentation(5, XY, flags=("definitely_not_a_flag",))
 
 
+def test_rejects_a_relation_over_another_ring():
+    for rel in (poly_parse("x^2+y^2", XY, 7), poly_parse("x^2+y^2", XYZ, 5)):
+        with pytest.raises(ValueError) as info:
+            RingPresentation(5, XY, [rel])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "relation not defined over this ring's variables"
+
+
+def test_normal_form_rejects_a_polynomial_over_another_ring(cubic):
+    for f in (poly_parse("x^3", XYZ, 5), poly_parse("x^3", XY, 7)):
+        with pytest.raises(ValueError) as info:
+            cubic.normal_form(f)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "polynomial not defined over this ring"
+
+
 def test_rejects_composite_characteristic():
     from frobpow.polynomials import PolyError
 
