@@ -12,8 +12,6 @@ read as UTF-8 text and an --out file that cannot be written).
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
@@ -185,13 +183,14 @@ def emit_report(report, fmt="text", include_timings=True):
     if fmt == "csv":
         if report.kind != "kq":
             raise InputError("csv output is only defined for kq tables")
-        buf = io.StringIO()
+        # the values are ints, bools and None, which is written empty: no
+        # field needs quoting
         columns = ("e", "q", "k_empirical", "k_threshold", "tight")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        lines = [",".join(columns)]
         for row in report.payload["rows"]:
-            writer.writerow([row[c] for c in columns])
-        return buf.getvalue()
+            values = ("" if row[c] is None else str(row[c]) for c in columns)
+            lines.append(",".join(values))
+        return "\n".join(lines) + "\n"
     if fmt == "text":
         lines = [f"report: {report.kind}"]
         if report.assumptions:

@@ -27,11 +27,14 @@ NF(h), each walked from its key by ``groebner.coset_monomials`` without
 building any whole degree: false only when one has no solution, true only
 once the certificate re-verifies.  Containment needs every class, and ranks
 them one at a time from the class map {key: ``Piece``}, which splits each
-whole-degree basis.  Classes share no rows and no columns, so every pivot
-and certificate is the one a whole-degree solve would give.  All of this is
-plain Python: a class is assembled as a ``linalg.SparseMatrix`` of dict
-rows, and only linalg's dense finish, for a class that fills in, imports
-numpy.
+whole-degree basis.  It takes unit columns before it assembles a class (a
+column of a one-term generator power that lands on a row covers that row,
+``_rank``), assembles the other columns on the rows left, and leaves the
+singleton columns that remain to linalg's structural pivots.  Classes share
+no rows and no columns, so every pivot and certificate is the one a
+whole-degree solve would give.  All of this is plain Python: a class is
+assembled as a ``linalg.SparseMatrix`` of dict rows, and only linalg's
+dense finish, for a class that fills in, imports numpy.
 """
 
 from collections import namedtuple
@@ -39,7 +42,7 @@ from collections import namedtuple
 from . import linalg
 from .bounds import compute_nu, inclusion_threshold
 from .groebner import coset_monomials
-from .polynomials import Polynomial, check_p_power, monomial_mul
+from .polynomials import Polynomial, check_p_power, monomial_divides, monomial_mul
 from .rings import AssumptionMissing
 
 EVIDENCE_NOTE = (
@@ -138,8 +141,9 @@ def _packing(m, n):
 
 # One class of the degree-m membership matrix: its rows (standard monomials
 # of R_m) and columns ((generator index, source monomial) pairs), each in its
-# relative order in the whole-degree matrix.
-Piece = namedtuple("Piece", "rows cols")
+# relative order in the whole-degree matrix.  dropped holds the rows of the
+# class left out on purpose, those that unit columns cover (see _rank).
+Piece = namedtuple("Piece", "rows cols dropped", defaults=((),))
 
 
 class IdealSpec(namedtuple("IdealSpec", "generators")):
@@ -194,7 +198,8 @@ class MembershipEngine:
     check_matrix_size is the one place that sizes a membership matrix, by
     Hilbert function; the classes _pieces splits it into for containment
     have exactly that shape in sum, _piece walks the one class of a key for
-    membership, and _assemble builds one class.  _shape_verdict answers
+    membership, and _assemble builds one class, or for containment (_rank)
+    the part of one that its unit columns leave.  _shape_verdict answers
     containment from the whole shape alone, assembling nothing, when the
     matrix has fewer columns than rows.
 
@@ -223,6 +228,10 @@ class MembershipEngine:
         # f_i^q = sum c^q x^(q*t) over the terms c x^t of f_i: its class is
         # q times that of any one term
         self._exponents = tuple(next(iter(g.terms)) for g in ideal.generators)
+        # the variables some Groebner leading monomial uses: a monomial in the
+        # others times a standard monomial is standard
+        leads = ring.groebner_basis().leading_monomials
+        self._lead_vars = tuple(map(any, zip(*leads)))
         self._fq_cache = {}
         try:
             self.nu = compute_nu(ideal.degrees, ring.dim, ring.flags)[0]
@@ -235,6 +244,15 @@ class MembershipEngine:
             raw = self.ideal.generators[i].frobenius_power(q)
             self._fq_cache[key] = self.ring.normal_form(raw)
         return self._fq_cache[key]
+
+    def _unit_powers(self, q):
+        """{i: t} for each generator i whose power NF(f_i^q) is one term c*x^t."""
+        units = {}
+        for i in range(len(self.ideal.generators)):
+            terms = self._generator_power(i, q).terms
+            if len(terms) == 1:
+                units[i] = next(iter(terms))
+        return units
 
     # -- matrix assembly ---------------------------------------------------
 
@@ -301,17 +319,30 @@ class MembershipEngine:
         own normal form; any other is looked up in a table from packed
         monomial to [(row index, coefficient)], filled once per distinct
         product from ring.monomial_normal_form.  Each column's coefficients
-        are summed per row and reduced mod p once."""
+        are summed per row and reduced mod p once.
+
+        A term on a row of piece.dropped, which unit columns cover (_rank),
+        is left out.  Then a product that a free unit monomial x^t divides,
+        one that shares no variable with a leading monomial, is not reduced
+        at all: x^t times a standard monomial is standard, so every term of
+        its normal form x^t * NF(P / x^t) is such a covered row.  Any other
+        term off the rows is a KeyError."""
         rows, cols = piece.rows, piece.cols
-        entries = [{} for _ in rows]
-        shape = (len(rows), len(cols))
+        n = len(rows)
+        shape = (n, len(cols))
         # a class with no rows: every normal form in it is zero
         if not rows:
-            return rows, cols, linalg.SparseMatrix(shape, entries)
+            return rows, cols, linalg.SparseMatrix(shape, [])
+        # one entry dict past the last row collects the terms on dropped rows
+        entries = [{} for _ in range(n + 1)]
         ring = self.ring
         p = ring.p
         pack, unpack = _packing(sum(rows[0]), ring.num_vars)
-        row_at = {pack(mono): r for r, mono in enumerate(rows)}
+        row_at = dict.fromkeys(map(pack, piece.dropped), n)
+        row_at.update((pack(mono), r) for r, mono in enumerate(rows))
+        units = self._unit_powers(q).values() if piece.dropped else ()
+        free = [t for t in units
+                if not any(e and v for e, v in zip(t, self._lead_vars))]
         table = {}
         powers = {}
         for j, (i, mono) in enumerate(cols):
@@ -329,15 +360,44 @@ class MembershipEngine:
                     continue
                 nf = table.get(key)
                 if nf is None:
-                    reduced = ring.monomial_normal_form(unpack(key)).items()
-                    nf = table[key] = [(row_at[pack(mr)], cr) for mr, cr in reduced]
+                    product = unpack(key)
+                    if any(monomial_divides(u, product) for u in free):
+                        nf = table[key] = ()
+                    else:
+                        reduced = ring.monomial_normal_form(product).items()
+                        nf = table[key] = [(row_at[pack(mr)], cr) for mr, cr in reduced]
                 for r, cr in nf:
                     acc[r] = acc.get(r, 0) + c * cr
             for r, v in acc.items():
                 v %= p
                 if v:
                     entries[r][j] = v
+        del entries[n]
         return rows, cols, linalg.SparseMatrix(shape, entries)
+
+    def _rank(self, q, piece, units):
+        """Rank over F_p of one class of the degree-m matrix, unit columns
+        first, with units = _unit_powers(q).  Column (i, mono) is a unit
+        column when NF(f_i^q) is one term c*x^t and mono*x^t is a row: it is
+        c times that row's unit vector.  So the rank is the number of
+        distinct rows the unit columns cover, plus the rank of the other
+        columns on the rows left, the one matrix assembled; rank_mod, which
+        peels the singleton columns that remain, is not called when no row
+        is left.  (Faugere-Lachartre's structural pivots, PASCO 2010, taken
+        where the generator powers are known.)"""
+        is_row = set(piece.rows)
+        covered, cols = set(), []
+        for i, mono in piece.cols:
+            if i in units and (r := monomial_mul(mono, units[i])) in is_row:
+                covered.add(r)
+            else:
+                cols.append((i, mono))
+        rows = [mono for mono in piece.rows if mono not in covered]
+        rank = len(covered)
+        if rows:
+            _, _, A = self._assemble(q, Piece(rows, cols, covered))
+            rank += linalg.rank_mod(A, self.ring.p)
+        return rank
 
     # -- operations --------------------------------------------------------
 
@@ -410,11 +470,10 @@ class MembershipEngine:
         pieces = self._pieces(q, k).values()
         if any(len(piece.cols) < len(piece.rows) for piece in pieces):
             return False
+        units = self._unit_powers(q)
         for piece in pieces:
-            if piece.rows:
-                rows, _, A = self._assemble(q, piece)
-                if linalg.rank_mod(A, self.ring.p) < len(rows):
-                    return False
+            if piece.rows and self._rank(q, piece, units) < len(piece.rows):
+                return False
         return True
 
     def threshold(self, q):

@@ -6,11 +6,14 @@ and pytest.
 Each mutant replaces one line of the package with a faulty one.  For each,
 the script copies `src/`, `tests/` and `pyproject.toml` to a temporary
 directory, applies the mutant there (the checkout is never changed), and
-runs the named test nodes with `-x`.  A mutant is killed when those tests
-fail or run past TIMEOUT seconds (a mutant may loop).  The script exits
+runs the named test nodes with `-x`.  The unmutated copy runs every named
+node first, within TIMEOUT seconds; each mutant run may then take twice as
+long as that baseline run did, and a mutant is killed when its tests fail
+or run past that limit (a mutant may loop).  The script exits
 non-zero when a target line is not found exactly once, when the unmutated
-copy fails the named tests or times out, or when any mutant survives.  A surviving mutant is a gap in the tests: add a test that kills
-it, and keep it on the list.
+copy fails the named tests or times out, or when any mutant survives.  A
+surviving mutant is a gap in the tests: add a test that kills it, and keep
+it on the list.
 """
 
 import os
@@ -23,11 +26,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# seconds one pytest run may take; a mutant that loops is killed at this
-# limit, since the named tests pass on the unmutated copy in a few seconds
+# seconds the baseline run, every named node on the unmutated copy, may take
 TIMEOUT = 60
 
-WALK_ORACLE = "tests/test_classes.py::test_coset_walk_matches_a_brute_force_oracle"
+CLASSES = "tests/test_classes.py"
+WALK_ORACLE = f"{CLASSES}::test_coset_walk_matches_a_brute_force_oracle"
 ECHELON = "tests/test_classes.py::test_lattice_echelon_has_increasing_positive_pivots"
 MATMUL_TIER = "tests/test_linalg.py::test_matmul_mod_is_exact_just_past_each_float_tier"
 
@@ -165,18 +168,53 @@ MUTANTS = [
         "                    (tuple(e + p * r for r, e in zip(rem, t)), c)",
         ["tests/test_rings.py::test_normal_form_matches_plain_division"],
     ),
+    (
+        "_rank counts covered rows once per unit column",
+        "engine.py",
+        "        rank = len(covered)",
+        "        rank = len(piece.cols) - len(cols)",
+        [f"{CLASSES}::test_two_unit_columns_on_one_row_cover_it_once"],
+    ),
+    (
+        "_rank takes a one-term power whose product is not a row as a unit column",
+        "engine.py",
+        "            if i in units and (r := monomial_mul(mono, units[i])) in is_row:",
+        "            if i in units and (r := monomial_mul(mono, units[i])):",
+        [f"{CLASSES}::test_one_term_power_whose_product_is_not_a_row_stays_a_column"],
+    ),
+    (
+        "_assemble skips products of a unit that shares a variable with a lead",
+        "engine.py",
+        "                if not any(e and v for e, v in zip(t, self._lead_vars))]",
+        "                if True]",
+        [f"{CLASSES}::test_skip_does_not_fire_on_a_unit_sharing_a_lead_variable"],
+    ),
+    (
+        "_assemble skips products in a piece with no dropped rows (membership)",
+        "engine.py",
+        "        units = self._unit_powers(q).values() if piece.dropped else ()",
+        "        units = self._unit_powers(q).values()",
+        [f"{CLASSES}::test_packed_assembly_matches_the_tuple_path"],
+    ),
+    (
+        "_assemble puts the terms on dropped rows in row 0",
+        "engine.py",
+        "        row_at = dict.fromkeys(map(pack, piece.dropped), n)",
+        "        row_at = dict.fromkeys(map(pack, piece.dropped), 0)",
+        [f"{CLASSES}::test_unit_column_rank_matches_the_whole_class"],
+    ),
 ]
 
 
-def run_tests(tree, nodes):
+def run_tests(tree, nodes, timeout):
     """Run the named nodes in the copy at tree: pytest's finished process, or
-    None when it ran past TIMEOUT seconds and was killed."""
+    None when it ran past timeout seconds and was killed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            *nodes]
     try:
         return subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
-                              text=True, timeout=TIMEOUT)
+                              text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return None
 
@@ -194,12 +232,18 @@ def main():
         tree = Path(tmp)
         copy_tree(tree)
         nodes = sorted({node for *_, tests in MUTANTS for node in tests})
-        baseline = run_tests(tree, nodes)
+        started = time.perf_counter()
+        baseline = run_tests(tree, nodes, TIMEOUT)
+        # a mutant run takes a subset of the baseline's nodes: only one that
+        # loops, or slows its tests down twofold, reaches this limit
+        limit = 2 * (time.perf_counter() - started)
         if baseline is None or baseline.returncode:
             if baseline is not None:
                 print(baseline.stdout + baseline.stderr)
             print("the unmutated copy fails the named tests, or times out")
             return 1
+        print(f"baseline: {len(nodes)} nodes in {limit / 2:.1f} s; "
+              f"each mutant run is stopped at {limit:.1f} s")
         for name, file, line, faulty, tests in MUTANTS:
             path = tree / "src" / "frobpow" / file
             original = path.read_text(encoding="utf-8")
@@ -212,7 +256,7 @@ def main():
             lines[lines.index(line)] = faulty
             path.write_text("\n".join(lines), encoding="utf-8")
             started = time.perf_counter()
-            result = run_tests(tree, tests)
+            result = run_tests(tree, tests, limit)
             seconds = time.perf_counter() - started
             path.write_text(original, encoding="utf-8")
             # a run that times out counts as killed

@@ -17,7 +17,7 @@ from frobpow.engine import (
     lattice_echelon,
 )
 from frobpow.groebner import GroebnerBasis, coset_monomials, monomials_of_degree
-from frobpow.polynomials import Polynomial, monomial_divides, monomial_mul
+from frobpow.polynomials import Polynomial, monomial_divides, monomial_mul, poly_parse
 from frobpow.rings import RingPresentation
 
 from conftest import fermat_cubic_ring, fermat_quartic_ring
@@ -321,6 +321,179 @@ def test_packed_assembly_matches_the_tuple_path(p):
                 seen_table += bool(off_rows)
                 seen_at_m += any(m in mono for mono in rows)
     assert seen_at_m and seen_table
+
+
+# -- unit columns against the whole class ------------------------------------
+
+
+@pytest.fixture
+def restricted(monkeypatch):
+    """The (piece, matrix) of every _assemble call, in order."""
+    calls, assemble = [], MembershipEngine._assemble
+
+    def recorded(self, q, piece):
+        out = assemble(self, q, piece)
+        calls.append((piece, out[2]))
+        return out
+
+    monkeypatch.setattr(MembershipEngine, "_assemble", recorded)
+    return calls
+
+
+def _check_unit_ranks(eng, q, m, restricted):
+    """_rank of each class of degree m against rank_mod of the whole class,
+    and the one matrix _rank assembles (the last of restricted) against the
+    whole class on its rows and columns.  Returns the number of classes
+    with some row covered, and with every row covered."""
+    p = eng.ring.p
+    some = every = 0
+    for piece in eng._pieces(q, m).values():
+        if not piece.rows:
+            continue
+        rows, cols, A = eng._assemble(q, piece)
+        del restricted[:]
+        assert eng._rank(q, piece, eng._unit_powers(q)) == linalg.rank_mod(A, p)
+        if not restricted:
+            # every row covered: nothing assembled
+            every += 1
+            some += 1
+            continue
+        (part, B), = restricted
+        assert not set(part.rows) & set(part.dropped)
+        assert set(part.rows) | set(part.dropped) == set(rows)
+        some += bool(part.dropped)
+        at_row = {mono: r for r, mono in enumerate(rows)}
+        at_col = {col: j for j, col in enumerate(cols)}
+        expected = []
+        for mono in part.rows:
+            whole_row = A.rows[at_row[mono]]
+            expected.append({k: whole_row[at_col[col]]
+                             for k, col in enumerate(part.cols)
+                             if at_col[col] in whole_row})
+        assert B.rows == expected
+    return some, every
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 2**31 - 1))
+def test_unit_column_rank_matches_the_whole_class(p, restricted):
+    rng = random.Random(11 * p)
+    qs = (1, p) if p < 10 else (1,)
+    seen_some = seen_every = 0
+    for primary in (False, True) * 4:
+        eng = _random_problem(rng, p, primary)
+        for q in qs:
+            low = q * min(eng.ideal.degrees)
+            for m in range(low, low + 4):
+                some, every = _check_unit_ranks(eng, q, m, restricted)
+                seen_some += some
+                seen_every += every
+    assert seen_some and seen_every
+
+
+@pytest.fixture
+def reduced(monkeypatch):
+    """Every monomial passed to RingPresentation.monomial_normal_form."""
+    calls, normal_form = [], RingPresentation.monomial_normal_form
+
+    def recorded(self, mono):
+        calls.append(mono)
+        return normal_form(self, mono)
+
+    monkeypatch.setattr(RingPresentation, "monomial_normal_form", recorded)
+    return calls
+
+
+def _plane_conic(p):
+    # F_p[x,y,z]/(xy - z^2): the lead xy shares x with the generator x
+    names = ("x", "y", "z")
+    ring = RingPresentation(p, names, [poly_parse("x*y - z^2", names, p)])
+    return MembershipEngine(ring, IdealSpec.from_strings(ring, ["x", "y^2 - z^2"]))
+
+
+def test_one_term_power_whose_product_is_not_a_row_stays_a_column(restricted):
+    # x * y = z^2: column (x, y) of the class of z^2 is not a unit column,
+    # while (x, x) covers the row x^2 of that class
+    eng = _plane_conic(5)
+    _check_unit_ranks(eng, 1, 2, restricted)
+    piece = eng._pieces(1, 2)[class_keys(eng._echelon, [(0, 0, 2)])[0]]
+    assert (0, (0, 1, 0)) in piece.cols
+    del restricted[:]
+    eng._rank(1, piece, eng._unit_powers(1))
+    (part, _), = restricted
+    assert (0, (0, 1, 0)) in part.cols and part.dropped == {(2, 0, 0)}
+
+
+def test_two_unit_columns_on_one_row_cover_it_once(restricted):
+    # y^(2q) * z^q and (yz)^q * y^q are both the row y^(2q) z^q
+    for p in (2, 3, 5):
+        ring = fermat_cubic_ring(p)
+        eng = MembershipEngine(ring, IdealSpec.from_strings(
+            ring, ["x^2", "y^2", "y*z", "z^2"]))
+        for q in (1, p):
+            unit_cols = [(i, mono) for piece in eng._pieces(q, 3 * q).values()
+                         for i, mono in piece.cols if i in (1, 2)]
+            covers = [monomial_mul(mono, eng._unit_powers(q)[i])
+                      for i, mono in unit_cols]
+            assert covers.count((0, 2 * q, q)) == 2
+            for m in range(2 * q, 3 * q + 2):
+                some, _ = _check_unit_ranks(eng, q, m, restricted)
+                assert some
+
+
+def test_skip_does_not_fire_on_a_unit_sharing_a_lead_variable(restricted, reduced):
+    # x^q * y = x^(q-1) * z^2, a row that no unit column covers: a product
+    # that x^q divides is still reduced, and the restricted matrix is the
+    # whole class on its rows and columns
+    for p in (2, 3, 5, 7):
+        eng = _plane_conic(p)
+        for q in (1, p):
+            for m in range(q, q + 6):
+                _check_unit_ranks(eng, q, m, restricted)
+        del reduced[:]
+        units = eng._unit_powers(1)
+        for piece in eng._pieces(1, 3).values():
+            if piece.rows:
+                eng._rank(1, piece, units)
+        assert any(monomial_divides(units[0], mono) for mono in reduced)
+
+
+def test_free_unit_monomials_skip_the_normal_form(restricted, reduced):
+    # on the Fermat cubic the lead x^3 leaves y and z free: no product that
+    # y^(2q) or z^(2q) divides is reduced once their columns are taken (at
+    # p = 3, NF(x^6) is free of x and no product is reduced at all)
+    for p in (2, 5, 7):
+        ring = fermat_cubic_ring(p)
+        eng = MembershipEngine(
+            ring, IdealSpec.from_strings(ring, ["x^2", "y^2", "z^2"]))
+        q = p
+        for i in range(3):
+            eng._generator_power(i, q)
+        pieces = eng._pieces(q, 3 * q + 1).values()
+        del reduced[:]
+        for piece in pieces:
+            eng._assemble(q, piece)
+        assert [mono for mono in reduced if mono[1] >= 2 * q or mono[2] >= 2 * q]
+        del reduced[:]
+        for piece in pieces:
+            eng._rank(q, piece, eng._unit_powers(q))
+        assert not [mono for mono in reduced if mono[1] >= 2 * q or mono[2] >= 2 * q]
+        # every class of degree k(q) = 3q + 1 has rows covered
+        assert _check_unit_ranks(eng, q, 3 * q + 1, restricted)[0] == 9
+
+
+def test_relation_free_monomial_ideal_covers_every_row(monkeypatch):
+    # F_5[x,y,z] with I = (x^2, y^2, z^2): every column is a unit column, so
+    # no class is assembled or ranked, and k(q) = 6q - 2
+    def refused(*args):
+        raise AssertionError("a class was assembled or ranked")
+
+    monkeypatch.setattr(MembershipEngine, "_assemble", refused)
+    monkeypatch.setattr(linalg, "rank_mod", refused)
+    ring = RingPresentation(5, ("x", "y", "z"))
+    eng = MembershipEngine(ring, IdealSpec.from_strings(ring, ["x^2", "y^2", "z^2"]))
+    for q in (5, 25):
+        assert eng.min_containment_degree(q) == 6 * q - 2
+        assert not eng.degree_containment(q, 6 * q - 3)
 
 
 # -- the class map against one monomial at a time ----------------------------

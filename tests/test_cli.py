@@ -160,6 +160,23 @@ def test_kq_csv_output(tmp_path, capsys):
     ]
 
 
+def test_kq_csv_writes_as_the_csv_module_would(fermat_cubic_file, capsys):
+    # a search that stops at its cap reports k_empirical and tight as None,
+    # which csv.writer writes as an empty field, and True as "True"
+    import csv
+    import io
+
+    for cap, row in ((["--cap", "10"], [1, 7, None, 22, None]),
+                     ([], [1, 7, 22, 22, True])):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("e", "q", "k_empirical", "k_threshold", "tight"))
+        writer.writerow(row)
+        argv = ["kq", fermat_cubic_file, "--emax", "1", "--format", "csv"]
+        assert run_command(argv + cap) == 0
+        assert capsys.readouterr().out == buf.getvalue()
+
+
 def test_member_command(tmp_path, capsys):
     path = write(tmp_path, PARAM_FPB)
     code, doc = run_json(
