@@ -25,25 +25,25 @@ class of R_{m - q*d_i}, the coset of the key minus q * exp(f_i), rows and
 columns kept in relative order.  Membership solves only the classes of
 NF(h), each walked from its key by ``groebner.coset_monomials`` without
 building any whole degree: false only when one has no solution, true only
-once the certificate re-verifies.  Containment needs every class, and ranks
-them one at a time from the class map {key: ``Piece``}, which splits each
-whole-degree basis.  It takes unit columns before it assembles a class (a
-column of a one-term generator power that lands on a row covers that row,
-``_rank``), assembles the other columns on the rows left, and leaves the
-singleton columns that remain to linalg's structural pivots.  Classes share
-no rows and no columns, so every pivot and certificate is the one a
-whole-degree solve would give.  All of this is plain Python: a class is
-assembled as a ``linalg.SparseMatrix`` of dict rows, and only linalg's
-dense finish, for a class that fills in, imports numpy.
+once the certificate re-verifies.  Containment runs in R' = R/(x^t) over
+the generator powers NF(f_i^q) = c*x^t with x^t free of every leading
+variable (``_quotient``), where R_k lies in I^[q] exactly when R'_k lies in
+the other powers' ideal.  It needs every class, and ranks them one at a
+time from the class map {key: ``Piece``}, which splits each whole-degree
+basis of R'.  Classes share no rows and no columns, so every pivot and
+certificate is the one a whole-degree solve would give.  All of this is
+plain Python: a class is assembled as a ``linalg.SparseMatrix`` of dict
+rows, and only linalg's dense finish, for a class that fills in, imports
+numpy.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from . import linalg
 from .bounds import compute_nu, inclusion_threshold
 from .groebner import coset_monomials
-from .polynomials import Polynomial, check_p_power, monomial_divides, monomial_mul
-from .rings import AssumptionMissing
+from .polynomials import Polynomial, check_p_power, monomial_mul
+from .rings import AssumptionMissing, QuotientRing
 
 EVIDENCE_NOTE = (
     "finite evidence only: tight-closure membership quantifies over all "
@@ -139,11 +139,11 @@ def _packing(m, n):
     return pack, unpack
 
 
-# One class of the degree-m membership matrix: its rows (standard monomials
-# of R_m) and columns ((generator index, source monomial) pairs), each in its
-# relative order in the whole-degree matrix.  dropped holds the rows of the
-# class left out on purpose, those that unit columns cover (see _rank).
-Piece = namedtuple("Piece", "rows cols dropped", defaults=((),))
+# One class of the degree-m membership matrix over ring, R or a quotient R'
+# (MembershipEngine._quotient): its rows (standard monomials of ring_m) and
+# columns ((generator index, source monomial) pairs), each in its relative
+# order in the whole-degree matrix over ring.
+Piece = namedtuple("Piece", "rows cols ring")
 
 
 class IdealSpec(namedtuple("IdealSpec", "generators")):
@@ -191,17 +191,13 @@ FrobeniusClosureReport = namedtuple(
 
 class MembershipEngine:
     """Membership/containment machinery for one (ring, ideal) pair; caches
-    the normal forms of generator Frobenius powers (the ring caches monomial
-    normal forms; whole-degree bases are built per _pieces call, and not
-    kept, and membership builds none).
+    the normal forms of generator Frobenius powers and the quotients R'.
 
     check_matrix_size is the one place that sizes a membership matrix, by
-    Hilbert function; the classes _pieces splits it into for containment
-    have exactly that shape in sum, _piece walks the one class of a key for
-    membership, and _assemble builds one class, or for containment (_rank)
-    the part of one that its unit columns leave.  _shape_verdict answers
-    containment from the whole shape alone, assembling nothing, when the
-    matrix has fewer columns than rows.
+    R's Hilbert function.  Containment runs over R' (_quotient), where
+    _shape_verdict answers from the shape alone when it can; _piece walks
+    the one class of a key over R for membership, and _assemble builds one
+    class over either ring.
 
     ``nu``, the slope constant of the inclusion bound, is derived from the
     ring's flags by bounds.compute_nu (None when they do not establish it);
@@ -228,31 +224,38 @@ class MembershipEngine:
         # f_i^q = sum c^q x^(q*t) over the terms c x^t of f_i: its class is
         # q times that of any one term
         self._exponents = tuple(next(iter(g.terms)) for g in ideal.generators)
-        # the variables some Groebner leading monomial uses: a monomial in the
-        # others times a standard monomial is standard
-        leads = ring.groebner_basis().leading_monomials
-        self._lead_vars = tuple(map(any, zip(*leads)))
-        self._fq_cache = {}
+        self._fq_cache, self._quotients = {}, {}
         try:
             self.nu = compute_nu(ideal.degrees, ring.dim, ring.flags)[0]
         except (AssumptionMissing, ValueError):
             self.nu = None
 
-    def _generator_power(self, i, q):
-        key = (i, q)
+    def _generator_power(self, i, q, ring):
+        key = (i, q, ring)
         if key not in self._fq_cache:
             raw = self.ideal.generators[i].frobenius_power(q)
-            self._fq_cache[key] = self.ring.normal_form(raw)
+            self._fq_cache[key] = ring.normal_form(raw)
         return self._fq_cache[key]
 
-    def _unit_powers(self, q):
-        """{i: t} for each generator i whose power NF(f_i^q) is one term c*x^t."""
-        units = {}
-        for i in range(len(self.ideal.generators)):
-            terms = self._generator_power(i, q).terms
-            if len(terms) == 1:
-                units[i] = next(iter(terms))
-        return units
+    def _quotient(self, q):
+        """(R', kept), memoized: R' = R/(x^t) over the powers NF(f_i^q) =
+        c*x^t with x^t coprime to every leading monomial, kept the other
+        generators.  (f_i^q) = (x^t), so R_k lies in I^[q] exactly when R'_k
+        lies in the kept powers' ideal (Faugere-Lachartre's structural
+        pivots, PASCO 2010, taken into the ring)."""
+        if q not in self._quotients:
+            leads = self.ring.groebner_basis().leading_monomials
+            units, kept = [], []
+            for i in range(len(self.ideal.generators)):
+                terms = list(self._generator_power(i, q, self.ring).terms)
+                if len(terms) == 1 and all(
+                        not any(map(min, terms[0], lm)) for lm in leads):
+                    units.append(terms[0])
+                else:
+                    kept.append(i)
+            ring = QuotientRing(self.ring, units) if units else self.ring
+            self._quotients[q] = ring, kept
+        return self._quotients[q]
 
     # -- matrix assembly ---------------------------------------------------
 
@@ -267,88 +270,73 @@ class MembershipEngine:
         return rows, cols
 
     def _pieces(self, q, m):
-        """The class map of the degree-m matrix for q: {class key: Piece},
-        keys in order of first appearance (row classes, then column classes
-        in generator order), for containment, which needs every class.  The
-        graded basis of each distinct degree, m and each m - q*d, is built
-        and split into classes once, and held for this call only.  Two
-        monomials differ by a lattice vector exactly when their shifts by
-        q*exp(f_i) do, so the shift is one to one on classes: generator i's
-        columns in a class are one whole source class, in basis order, moved
-        by its key (which differs from its monomials by lattice vectors).  A
-        source degree below 0 has an empty basis, and a generator power that
-        is zero in R still gives its columns, so the shapes sum to
-        check_matrix_size(q, m)."""
+        """The class map of the degree-m matrix for q over R' (_quotient):
+        {class key: Piece}, keys in order of first appearance (row classes,
+        then column classes in generator order).  The graded basis of R' in
+        each distinct degree, m and each m - q*d_i of a kept generator, is
+        built and split into classes once, for this call only; generator
+        i's columns in a class are one whole source class, moved by its key.
+        A source degree below 0 has an empty basis, and a generator power
+        that is zero still gives its columns, so the shapes sum to R''s
+        whole-degree shape."""
+        ring, kept = self._quotient(q)
         split = {}
-        for s in dict.fromkeys([m] + [m - q * d for d in self.ideal.degrees]):
-            basis = self.ring.graded_basis(s)
+        for s in dict.fromkeys([m] + [m - q * self.ideal.degrees[i] for i in kept]):
+            basis = ring.graded_basis(s)
             classes = split[s] = {}
             for key, mono in zip(class_keys(self._echelon, basis), basis):
                 classes.setdefault(key, []).append(mono)
-        pieces = {key: Piece(monos, []) for key, monos in split[m].items()}
-        for i, d in enumerate(self.ideal.degrees):
-            source = split[m - q * d]
+        pieces = {key: Piece(monos, [], ring) for key, monos in split[m].items()}
+        for i in kept:
+            source = split[m - q * self.ideal.degrees[i]]
             shift = tuple(q * a for a in self._exponents[i])
             moved = class_keys(self._echelon, [monomial_mul(k, shift) for k in source])
             for key, monos in zip(moved, source.values()):
-                cols = pieces.setdefault(key, Piece([], [])).cols
+                cols = pieces.setdefault(key, Piece([], [], ring)).cols
                 cols.extend((i, mono) for mono in monos)
         return pieces
 
     def _piece(self, q, m, key):
-        """The class of the degree-m matrix for q with this key, _pieces(q,
-        m)[key] for a key that has rows, walked from the key alone: the rows
-        are the standard monomials of degree m in key + L, and generator i's
-        columns those of degree m - q*d_i in key - q*exp(f_i) + L, the one
-        source class the shift moves onto it."""
+        """The class over R of the degree-m matrix for q with this key,
+        walked from the key alone: the rows are the standard monomials of
+        degree m in key + L, and generator i's columns those of degree
+        m - q*d_i in key - q*exp(f_i) + L, the one source class the shift
+        moves onto it.  Membership solves in R, not R': its certificate is
+        the solution over all of R's columns."""
         gb = self.ring.groebner_basis()
         cols = []
         for i, d in enumerate(self.ideal.degrees):
             source = [k - q * a for k, a in zip(key, self._exponents[i])]
             cols.extend((i, mono) for mono in coset_monomials(
                 gb, self._echelon, source, m - q * d))
-        return Piece(coset_monomials(gb, self._echelon, key, m), cols)
+        return Piece(coset_monomials(gb, self._echelon, key, m), cols, self.ring)
 
     def _assemble(self, q, piece):
         """Rows, columns and sparse matrix of one class of the degree-m
-        matrix: entry (r, j) is the coefficient of row r in NF(mono * f_i^q)
-        for column j = (i, mono).
+        matrix over piece.ring: entry (r, j) is the coefficient of row r in
+        NF(mono * f_i^q) for column j = (i, mono).
 
         Monomials are packed into ints (``_packing``), so a product term is
         one addition.  A product that is a row, a standard monomial, is its
         own normal form; any other is looked up in a table from packed
         monomial to [(row index, coefficient)], filled once per distinct
-        product from ring.monomial_normal_form.  Each column's coefficients
-        are summed per row and reduced mod p once.
-
-        A term on a row of piece.dropped, which unit columns cover (_rank),
-        is left out.  Then a product that a free unit monomial x^t divides,
-        one that shares no variable with a leading monomial, is not reduced
-        at all: x^t times a standard monomial is standard, so every term of
-        its normal form x^t * NF(P / x^t) is such a covered row.  Any other
-        term off the rows is a KeyError."""
-        rows, cols = piece.rows, piece.cols
-        n = len(rows)
-        shape = (n, len(cols))
+        product from the ring's monomial_normal_form.  A term of that normal
+        form off the rows is a KeyError.  Each column's coefficients are
+        summed per row and reduced mod p once."""
+        rows, cols, ring = piece
+        shape = (len(rows), len(cols))
         # a class with no rows: every normal form in it is zero
         if not rows:
             return rows, cols, linalg.SparseMatrix(shape, [])
-        # one entry dict past the last row collects the terms on dropped rows
-        entries = [{} for _ in range(n + 1)]
-        ring = self.ring
+        entries = [{} for _ in rows]
         p = ring.p
         pack, unpack = _packing(sum(rows[0]), ring.num_vars)
-        row_at = dict.fromkeys(map(pack, piece.dropped), n)
-        row_at.update((pack(mono), r) for r, mono in enumerate(rows))
-        units = self._unit_powers(q).values() if piece.dropped else ()
-        free = [t for t in units
-                if not any(e and v for e, v in zip(t, self._lead_vars))]
-        table = {}
-        powers = {}
+        row_at = {pack(mono): r for r, mono in enumerate(rows)}
+        table, powers = {}, {}
         for j, (i, mono) in enumerate(cols):
             terms = powers.get(i)
             if terms is None:
-                gq = self._generator_power(i, q).terms.items()
+                gq = self._generator_power(i, q, ring).terms.items()
                 terms = powers[i] = [(pack(t), c) for t, c in gq]
             base = pack(mono)
             acc = {}
@@ -360,44 +348,15 @@ class MembershipEngine:
                     continue
                 nf = table.get(key)
                 if nf is None:
-                    product = unpack(key)
-                    if any(monomial_divides(u, product) for u in free):
-                        nf = table[key] = ()
-                    else:
-                        reduced = ring.monomial_normal_form(product).items()
-                        nf = table[key] = [(row_at[pack(mr)], cr) for mr, cr in reduced]
+                    reduced = ring.monomial_normal_form(unpack(key)).items()
+                    nf = table[key] = [(row_at[pack(mr)], cr) for mr, cr in reduced]
                 for r, cr in nf:
                     acc[r] = acc.get(r, 0) + c * cr
             for r, v in acc.items():
                 v %= p
                 if v:
                     entries[r][j] = v
-        del entries[n]
         return rows, cols, linalg.SparseMatrix(shape, entries)
-
-    def _rank(self, q, piece, units):
-        """Rank over F_p of one class of the degree-m matrix, unit columns
-        first, with units = _unit_powers(q).  Column (i, mono) is a unit
-        column when NF(f_i^q) is one term c*x^t and mono*x^t is a row: it is
-        c times that row's unit vector.  So the rank is the number of
-        distinct rows the unit columns cover, plus the rank of the other
-        columns on the rows left, the one matrix assembled; rank_mod, which
-        peels the singleton columns that remain, is not called when no row
-        is left.  (Faugere-Lachartre's structural pivots, PASCO 2010, taken
-        where the generator powers are known.)"""
-        is_row = set(piece.rows)
-        covered, cols = set(), []
-        for i, mono in piece.cols:
-            if i in units and (r := monomial_mul(mono, units[i])) in is_row:
-                covered.add(r)
-            else:
-                cols.append((i, mono))
-        rows = [mono for mono in piece.rows if mono not in covered]
-        rank = len(covered)
-        if rows:
-            _, _, A = self._assemble(q, Piece(rows, cols, covered))
-            rank += linalg.rank_mod(A, self.ring.p)
-        return rank
 
     # -- operations --------------------------------------------------------
 
@@ -413,9 +372,7 @@ class MembershipEngine:
         hn = ring.normal_form(h)
         # I^[q] is L-homogeneous: h is a member exactly when each class
         # component of NF(h) is, and the solution is 0 on every other class
-        touched = {}
-        for key in class_keys(self._echelon, hn.terms):
-            touched[key] = touched.get(key, 0) + 1
+        touched = Counter(class_keys(self._echelon, hn.terms))
         coeff_terms = [dict() for _ in self.ideal.generators]
         for key, count in touched.items():
             piece = self._piece(q, m, key)
@@ -448,19 +405,21 @@ class MembershipEngine:
             )
 
     def _shape_verdict(self, q, k):
-        """False when the Hilbert shape of the degree-k matrix shows that R_k
-        does not lie in I^[q], by fewer columns than rows; None when it takes
-        a rank test.  The matrix always has rows: the Hilbert series of a
-        complete intersection of dim >= 1 has every coefficient from degree 0
-        up at least 1."""
-        rows, cols = self.check_matrix_size(q, k)
-        return False if cols < rows else None
+        """Whether R_k lies in I^[q] when the Hilbert shape of the degree-k
+        matrix over R' (_quotient) decides it, else None: True when R'_k = 0,
+        False when it has fewer columns than rows.  The guard sizes R's whole
+        degree first (check_matrix_size)."""
+        self.check_matrix_size(q, k)
+        ring, kept = self._quotient(q)
+        rows = ring.hilbert_dim(k)
+        cols = sum(ring.hilbert_dim(k - q * self.ideal.degrees[i]) for i in kept)
+        return True if not rows else False if cols < rows else None
 
     def degree_containment(self, q, k):
-        """True iff R_k is contained in I^[q]: decided by the Hilbert shape
-        of the degree-k matrix when it can be, else class by class, by the
-        class shapes and then one rank test per class up to the first that
-        is rank-deficient."""
+        """True iff R_k is contained in I^[q], that is R'_k in the kept
+        powers' ideal (_quotient): decided by the Hilbert shape over R' when
+        it can be, else class by class, by the class shapes and then one rank
+        test per class up to the first that is rank-deficient."""
         check_p_power(q, self.ring.p)
         if k < 0:
             raise ValueError("degree must be >= 0")
@@ -470,11 +429,8 @@ class MembershipEngine:
         pieces = self._pieces(q, k).values()
         if any(len(piece.cols) < len(piece.rows) for piece in pieces):
             return False
-        units = self._unit_powers(q)
-        for piece in pieces:
-            if piece.rows and self._rank(q, piece, units) < len(piece.rows):
-                return False
-        return True
+        return all(linalg.rank_mod(self._assemble(q, piece)[2], piece.ring.p)
+                   == len(piece.rows) for piece in pieces if piece.rows)
 
     def threshold(self, q):
         """The inclusion threshold, least m > q * nu + a; None without nu."""

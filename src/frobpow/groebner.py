@@ -7,6 +7,7 @@ pair selection is the normal strategy (smallest lcm in grevlex, ties by
 index), and a degree cap guards against runaway computations.
 """
 
+from math import inf
 from operator import add, itemgetter
 
 from .polynomials import (
@@ -40,12 +41,18 @@ class GroebnerBasis:
         self.generators = list(generators)
         self.num_vars = num_vars
         self.leading_monomials = tuple(g.leading_monomial() for g in self.generators)
-        # leads_by_last[i]: the leads whose last variable is x_i, cut to
+        # caps[i]: the largest exponent of x_i a pure power lead leaves;
+        # leads_by_last[i]: the other leads whose last variable is x_i, cut to
         # x_0..x_i, which the standard-monomial walks test once x_i is fixed
+        self.caps = caps = [inf] * num_vars
         self.leads_by_last = tuple([] for _ in range(num_vars))
         for lm in self.leading_monomials:
-            last = max((i for i, e in enumerate(lm) if e), default=0)
-            self.leads_by_last[last].append(lm[: last + 1])
+            support = [i for i, e in enumerate(lm) if e]
+            last = max(support, default=0)
+            if len(support) == 1:
+                caps[last] = min(caps[last], lm[last] - 1)
+            else:
+                self.leads_by_last[last].append(lm[: last + 1])
 
     def __iter__(self):
         return iter(self.generators)
@@ -179,14 +186,15 @@ def standard_monomials(gb, m):
     """Degree-m monomials not divisible by any leading monomial of gb,
     sorted descending in grevlex; an F_p-basis of (R/ideal)_m.
 
-    One recursion fixes x_0, x_1, ... in turn, exponents ascending, and the
-    last variable takes the rest of the degree.  Each lead, cut to x_0..x_i,
-    is tested when its last variable x_i is fixed; a divisor ends x_i's loop.
+    One recursion fixes x_0, x_1, ... in turn, exponents ascending up to
+    the cap of x_i, and the last variable takes the rest of the degree.
+    Each other lead, cut to x_0..x_i, is tested when its last variable x_i
+    is fixed; a divisor ends x_i's loop.
     """
     if m < 0:
         return []
     n = gb.num_vars
-    by_last = gb.leads_by_last
+    by_last, caps = gb.leads_by_last, gb.caps
     out = []
 
     def walk(i, prefix, deg):
@@ -194,8 +202,10 @@ def standard_monomials(gb, m):
             if deg == m:  # false only for a ring with no variables and m > 0
                 out.append(prefix)
             return
-        leads = by_last[i]
-        for e in range(m - deg + 1) if i < n - 1 else (m - deg,):
+        leads, rest = by_last[i], m - deg
+        top = min(rest, caps[i])
+        # the last variable takes the rest of the degree, if its cap allows
+        for e in range(top + 1) if i < n - 1 else (rest,) * (rest == top):
             ext = prefix + (e,)
             # a lead dividing ext divides it for every larger exponent of x_i
             if leads and any(monomial_divides(lm, ext) for lm in leads):
@@ -218,12 +228,12 @@ def coset_monomials(gb, echelon, start, m):
     the coordinates 0..N-1 in turn.  A pivot coordinate steps by its row
     from its least value >= 0; any other keeps the value the earlier steps
     left, since no later row touches it.  A negative value, a degree so far
-    above m, or a lead ending at the coordinate that divides the prefix ends
-    that coordinate's loop: no row steps an earlier coordinate, and a pivot
-    coordinate only grows.
+    above m, a value above the coordinate's cap, or a lead ending at the
+    coordinate that divides the prefix ends that coordinate's loop: no row
+    steps an earlier coordinate, and a pivot coordinate only grows.
     """
     n = gb.num_vars
-    by_last = gb.leads_by_last
+    by_last, caps = gb.leads_by_last, gb.caps
     rows = dict(echelon)
     out = []
 
@@ -238,7 +248,7 @@ def coset_monomials(gb, echelon, start, m):
             t = -(v[i] // row[i])
             v = [a + t * b for a, b in zip(v, row)]
         leads = by_last[i]
-        while 0 <= v[i] <= m - deg:
+        while 0 <= v[i] <= min(m - deg, caps[i]):
             if leads and any(monomial_divides(lm, v) for lm in leads):
                 break
             walk(i + 1, v, deg + v[i])

@@ -9,7 +9,8 @@ enumerated, and cross-checked, on every call: the ring keeps none, as no
 query asks twice for a degree an earlier query enumerated.  Normal forms are
 memoized per monomial and use that Frobenius is a ring endomorphism of R:
 NF(x^(p*b + r)) is reduced from NF(x^b)^p, so a q-th power costs log_p(q)
-short reduction chains.
+short reduction chains.  A ``QuotientRing`` R/(monomials free of every
+leading variable) reads its Hilbert function and normal forms off R's.
 
 Geometric hypotheses (normality, Cohen-Macaulayness, invertibility of the
 dualizing sheaf, smoothness) are user-asserted flags carried as metadata;
@@ -127,13 +128,8 @@ class RingPresentation:
         """Coefficient of t^m in prod_j (1 - t^{delta_j}) / (1 - t)^N,
         by exact integer power-series truncation."""
         n = self.num_vars
-        total = 0
-        for k, c in enumerate(self._hilbert_numerator):
-            if k > m:
-                break
-            if c:
-                total += c * math.comb(m - k + n - 1, n - 1)
-        return total
+        return sum(c * math.comb(m - k + n - 1, n - 1)
+                   for k, c in enumerate(self._hilbert_numerator) if k <= m)
 
     # -- Groebner-backed graded bases --------------------------------------
 
@@ -235,7 +231,7 @@ class RingPresentation:
         """Normal form of a polynomial modulo the relations."""
         if f.p != self.p or f.num_vars != self.num_vars:
             raise ValueError("polynomial not defined over this ring")
-        if not self.relations:
+        if not self._gb.generators:
             return f
         return Polynomial(self.p, self.num_vars, self.reduce(f.terms.items()))
 
@@ -250,3 +246,46 @@ class RingPresentation:
             f"RingPresentation(F_{self.p}[{', '.join(self.var_names)}]"
             f" / relations of degrees ({rels}))"
         )
+
+
+def _lcm_sum(monos):
+    """sum over the subsets S of monos of (-1)^|S| t^deg(lcm S), as {degree:
+    coefficient}.  lcm(u, S) = u * lcm(S : u), with v : u = lcm(u, v) / u; a
+    v : u that another divides drops out, toggling the divisor in pairs."""
+    if not monos:
+        return {0: 1}
+    u, *rest = monos
+    out = _lcm_sum(rest)
+    colon = {tuple(max(a - b, 0) for a, b in zip(v, u)) for v in rest}
+    colon = [v for v in colon
+             if not any(w != v and monomial_divides(w, v) for w in colon)]
+    for k, c in _lcm_sum(colon).items():
+        out[k + sum(u)] = out.get(k + sum(u), 0) - c
+    return out
+
+
+class QuotientRing(RingPresentation):
+    """R' = R/(x^t for t in units), each x^t coprime to R's leading monomials,
+    so the units and R's Groebner basis are one of R' (Buchberger's first
+    criterion): its standard monomials are R's that no unit divides, and its
+    NF is R's, from R's memo, less the terms a unit divides.  A product of
+    units maps R's standard monomials one to one onto those it divides, so
+    dim R'_m = sum c * dim R_(m-d) over c t^d in _lcm_sum(units).  The
+    presentation data (relations, flags, dim) stays R's."""
+
+    def __init__(self, ring, units):
+        vars(self).update(vars(ring))
+        self.ring, self.units = ring, tuple(units)
+        gens = [Polynomial(ring.p, ring.num_vars, {t: 1}) for t in self.units]
+        self._gb = GroebnerBasis(gens + ring._gb.generators, ring.num_vars)
+        self._shifts = _lcm_sum(self.units).items()
+
+    def hilbert_dim(self, m):
+        return sum(c * self.ring.hilbert_dim(m - d) for d, c in self._shifts)
+
+    def _divided(self, mono):
+        return any(map(monomial_divides, self.units, itertools.repeat(mono)))
+
+    def monomial_normal_form(self, mono):
+        nf = {} if self._divided(mono) else self.ring.monomial_normal_form(mono)
+        return {m: c for m, c in nf.items() if not self._divided(m)}

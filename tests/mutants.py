@@ -33,6 +33,8 @@ CLASSES = "tests/test_classes.py"
 WALK_ORACLE = f"{CLASSES}::test_coset_walk_matches_a_brute_force_oracle"
 ECHELON = "tests/test_classes.py::test_lattice_echelon_has_increasing_positive_pivots"
 MATMUL_TIER = "tests/test_linalg.py::test_matmul_mod_is_exact_just_past_each_float_tier"
+PARAMETER_ORACLE = f"{CLASSES}::test_every_degree_has_the_length_of_a_parameter_ideal"
+QUOTIENT_RING = "tests/test_rings.py::test_quotient_ring_matches_division_by_units_and_leads"
 
 # (name, file under src/frobpow, line as written, faulty line, test nodes)
 MUTANTS = [
@@ -169,39 +171,54 @@ MUTANTS = [
         ["tests/test_rings.py::test_normal_form_matches_plain_division"],
     ),
     (
-        "_rank counts covered rows once per unit column",
+        "_quotient takes a unit that shares a variable with a lead as free",
         "engine.py",
-        "        rank = len(covered)",
-        "        rank = len(piece.cols) - len(cols)",
-        [f"{CLASSES}::test_two_unit_columns_on_one_row_cover_it_once"],
-    ),
-    (
-        "_rank takes a one-term power whose product is not a row as a unit column",
-        "engine.py",
-        "            if i in units and (r := monomial_mul(mono, units[i])) in is_row:",
-        "            if i in units and (r := monomial_mul(mono, units[i])):",
-        [f"{CLASSES}::test_one_term_power_whose_product_is_not_a_row_stays_a_column"],
-    ),
-    (
-        "_assemble skips products of a unit that shares a variable with a lead",
-        "engine.py",
-        "                if not any(e and v for e, v in zip(t, self._lead_vars))]",
-        "                if True]",
+        "                        not any(map(min, terms[0], lm)) for lm in leads):",
+        "                        True for lm in leads):",
         [f"{CLASSES}::test_skip_does_not_fire_on_a_unit_sharing_a_lead_variable"],
     ),
     (
-        "_assemble skips products in a piece with no dropped rows (membership)",
+        "_shape_verdict counts R's rows against the columns over R'",
         "engine.py",
-        "        units = self._unit_powers(q).values() if piece.dropped else ()",
-        "        units = self._unit_powers(q).values()",
-        [f"{CLASSES}::test_packed_assembly_matches_the_tuple_path"],
+        "        rows = ring.hilbert_dim(k)",
+        "        rows = self.ring.hilbert_dim(k)",
+        [PARAMETER_ORACLE],
     ),
     (
-        "_assemble puts the terms on dropped rows in row 0",
+        "membership's _piece is built over R' (the certificate ring changes)",
         "engine.py",
-        "        row_at = dict.fromkeys(map(pack, piece.dropped), n)",
-        "        row_at = dict.fromkeys(map(pack, piece.dropped), 0)",
-        [f"{CLASSES}::test_unit_column_rank_matches_the_whole_class"],
+        "        return Piece(coset_monomials(gb, self._echelon, key, m), cols, self.ring)",
+        "        return Piece(coset_monomials(gb, self._echelon, key, m), cols,"
+        " self._quotient(q)[0])",
+        [f"{CLASSES}::test_class_split_matches_the_whole_degree_matrix[7]"],
+    ),
+    (
+        "_lcm_sum flips the inclusion-exclusion sign",
+        "rings.py",
+        "        out[k + sum(u)] = out.get(k + sum(u), 0) - c",
+        "        out[k + sum(u)] = out.get(k + sum(u), 0) + c",
+        [QUOTIENT_RING],
+    ),
+    (
+        "QuotientRing keeps the normal-form terms a unit divides",
+        "rings.py",
+        "        return {m: c for m, c in nf.items() if not self._divided(m)}",
+        "        return dict(nf)",
+        [QUOTIENT_RING],
+    ),
+    (
+        "GroebnerBasis caps a variable at its pure power lead, not one below",
+        "groebner.py",
+        "                caps[last] = min(caps[last], lm[last] - 1)",
+        "                caps[last] = min(caps[last], lm[last])",
+        [WALK_ORACLE],
+    ),
+    (
+        "standard_monomials lets the last variable pass its cap",
+        "groebner.py",
+        "        for e in range(top + 1) if i < n - 1 else (rest,) * (rest == top):",
+        "        for e in range(top + 1) if i < n - 1 else (rest,):",
+        [QUOTIENT_RING],
     ),
 ]
 

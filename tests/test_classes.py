@@ -1,6 +1,7 @@
 """The fine grading by Z^N/L: canonical class keys, the class-split
-membership matrices against a whole-degree reference built here, and the
-walk of one class against the filtered whole-degree basis."""
+membership matrices against a whole-degree reference built here, over R and
+over containment's quotient R', and the walk of one class against the
+filtered whole-degree basis."""
 
 import itertools
 import random
@@ -165,14 +166,28 @@ def _random_problem(rng, p, primary):
     return MembershipEngine(ring, IdealSpec(tuple(gens)))
 
 
-def _whole_degree(eng, q, m):
-    """The degree-m membership matrix in one piece: rows R_m's standard
-    monomials, columns (i, mono) in generator then basis order."""
-    ring = eng.ring
+def _over_r(eng):
+    """(R, every generator index): the ring and columns of membership, as
+    _quotient(q) gives those of containment."""
+    return eng.ring, range(len(eng.ideal.generators))
+
+
+def _r_classes(eng, q, m):
+    """The classes over R of the degree-m matrix that have rows, {key:
+    Piece}, each walked by membership's _piece."""
+    keys = dict.fromkeys(class_keys(eng._echelon, eng.ring.graded_basis(m)))
+    return {key: eng._piece(q, m, key) for key in keys}
+
+
+def _whole_degree(eng, q, m, ring, kept):
+    """The degree-m membership matrix over ring (R, or R' of _quotient(q))
+    in one piece: rows ring_m's standard monomials, columns (i, mono) for
+    the generators i in kept, in generator then basis order."""
     target = ring.graded_basis(m)
     index = {mono: r for r, mono in enumerate(target)}
     col_meta, rows = [], [{} for _ in target]
-    for i, g in enumerate(eng.ideal.generators):
+    for i in kept:
+        g = eng.ideal.generators[i]
         if m < q * g.degree():
             continue
         gq = ring.normal_form(g.frobenius_power(q)).terms.items()
@@ -221,8 +236,8 @@ def _elements(eng, rng, q, m):
                                   rng.randrange(1, p)})
             member = member + r * g.frobenius_power(q)
     out.append(member)
-    empty = [piece.rows[0] for piece in eng._pieces(q, m).values()
-             if piece.rows and not piece.cols]
+    empty = [piece.rows[0] for piece in _r_classes(eng, q, m).values()
+             if not piece.cols]
     if empty:
         out.append(Polynomial(p, n, {empty[0]: 1}))
         out.append(member + Polynomial(p, n, {empty[-1]: 1}))
@@ -242,15 +257,19 @@ def test_class_split_matches_the_whole_degree_matrix(p):
             low = eng.min_containment_degree(q) - 1 if primary else q * min(
                 eng.ideal.degrees)
             for m in range(low, low + 3):
-                whole = _whole_degree(eng, q, m)
+                whole = _whole_degree(eng, q, m, *_over_r(eng))
+                quotient = _whole_degree(eng, q, m, *eng._quotient(q))
                 pieces = eng._pieces(q, m).values()
                 seen_split += len(pieces) > 1
-                # rank: the class ranks add up to the whole rank
-                rank = linalg.rank_mod(whole[2], p)
+                # rank: the class ranks add up to the whole rank over R', and
+                # R' leaves as many rows unspanned as R does
+                rank = linalg.rank_mod(quotient[2], p)
                 assert sum(
                     linalg.rank_mod(eng._assemble(q, piece)[2], p) for piece in pieces
                 ) == rank
-                contained = rank == len(whole[0])
+                deficit = len(whole[0]) - linalg.rank_mod(whole[2], p)
+                assert len(quotient[0]) - rank == deficit
+                contained = deficit == 0
                 seen_contained += contained
                 assert eng.degree_containment(q, m) == contained
                 # membership: the verdict and the certificate itself
@@ -271,8 +290,9 @@ def test_class_split_matches_the_whole_degree_matrix(p):
 
 def _tuple_class(eng, q, piece):
     """The entry dicts of one class as _whole_degree builds its columns:
-    NF(mono * f_i^q) reduced term by term on exponent tuples."""
-    ring = eng.ring
+    NF(mono * f_i^q) over piece.ring reduced term by term on exponent
+    tuples."""
+    ring = piece.ring
     index = {mono: r for r, mono in enumerate(piece.rows)}
     rows, products = [{} for _ in piece.rows], set()
     for j, (i, mono) in enumerate(piece.cols):
@@ -312,7 +332,9 @@ def test_packed_assembly_matches_the_tuple_path(p):
     seen_at_m = seen_table = 0
     for eng, q, degrees in cases:
         for m in degrees:
-            for piece in eng._pieces(q, m).values():
+            # containment's classes over R', and membership's over R
+            pieces = [*eng._pieces(q, m).values(), *_r_classes(eng, q, m).values()]
+            for piece in pieces:
                 rows, cols, A = eng._assemble(q, piece)
                 assert (rows, cols) == (piece.rows, piece.cols)
                 assert A.shape == (len(rows), len(cols))
@@ -323,59 +345,100 @@ def test_packed_assembly_matches_the_tuple_path(p):
     assert seen_at_m and seen_table
 
 
-# -- unit columns against the whole class ------------------------------------
+# -- the length of every degree against a parameter ideal's Hilbert series ---
 
 
-@pytest.fixture
-def restricted(monkeypatch):
-    """The (piece, matrix) of every _assemble call, in order."""
-    calls, assemble = [], MembershipEngine._assemble
-
-    def recorded(self, q, piece):
-        out = assemble(self, q, piece)
-        calls.append((piece, out[2]))
-        return out
-
-    monkeypatch.setattr(MembershipEngine, "_assemble", recorded)
-    return calls
+def _parameter_series(degrees, n, top):
+    """Coefficients of t^0..t^top in prod_d (1 - t^d) / (1 - t)^n."""
+    series = [1] + [0] * top
+    for d in degrees:
+        for k in range(top, d - 1, -1):
+            series[k] -= series[k - d]
+    for _ in range(n):
+        for k in range(1, top + 1):
+            series[k] += series[k - 1]
+    return series
 
 
-def _check_unit_ranks(eng, q, m, restricted):
-    """_rank of each class of degree m against rank_mod of the whole class,
-    and the one matrix _rank assembles (the last of restricted) against the
-    whole class on its rows and columns.  Returns the number of classes
-    with some row covered, and with every row covered."""
-    p = eng.ring.p
+def _parameter_problem(rng, p, n):
+    """A complete intersection R with a parameter ideal I, primary by
+    construction: (x^a, y^b) on x^3 + c1*y^3 + c2*z^3 (n = 3), or (x^a, y^b,
+    z^c) on a random quartic in x, y, z, w with a c*w^4 term (n = 4), c2 and
+    c nonzero, so that x = y (= z) = 0 forces every variable to 0."""
+    names = ("x", "y", "z", "w")[:n]
+    top = {tuple(3 if k == j else 0 for k in range(3)): 1 for j in range(3)}
+    if n == 3:
+        relation = {mono: c for mono, c in zip(top, (1, rng.randrange(p),
+                                                      rng.randrange(1, p)))}
+    else:
+        relation = {mono: rng.randrange(p) for mono in monomials_of_degree(4, 4)
+                    if rng.random() < 0.5}
+        relation[(0, 0, 0, 4)] = rng.randrange(1, p)
+    ring = RingPresentation(p, names, [Polynomial(p, n, relation)])
+    gens = [Polynomial(p, n, {tuple(rng.randint(1, 2) if k == j else 0
+                                    for k in range(n)): 1}) for j in range(n - 1)]
+    return MembershipEngine(ring, IdealSpec(tuple(gens)))
+
+
+def _deficit(eng, q, piece):
+    """Rows of one class that its columns leave unspanned: rows minus rank."""
+    return len(piece.rows) - linalg.rank_mod(eng._assemble(q, piece)[2], eng.ring.p)
+
+
+def _length(eng, q, k):
+    """dim (R/I^[q])_k as the class map counts it: the deficits of the
+    classes of the degree-k matrix, summed."""
+    return sum(_deficit(eng, q, piece)
+               for piece in eng._pieces(q, k).values() if piece.rows)
+
+
+@pytest.mark.parametrize("p, qs", [
+    (2, (1, 2, 4)), (3, (1, 3, 9)), (5, (1, 5, 25)), (7, (1, 7, 49)),
+    (65537, (1,)), (2**31 - 1, (1,)), (4294967291, (1,)),
+])
+def test_every_degree_has_the_length_of_a_parameter_ideal(p, qs):
+    # I = (f_1..f_d) is R_+-primary with d = dim R, and R is Cohen-Macaulay,
+    # so f_1^q..f_d^q is a regular sequence: the Hilbert series of R/I^[q] is
+    # prod_j (1 - t^delta_j) * prod_i (1 - t^(q*d_i)) / (1 - t)^N, a number
+    # no elimination produced, at every degree up to past the socle
+    rng = random.Random(13 * p)
+    for n in (3, 4):
+        eng = _parameter_problem(rng, p, n)
+        ring = eng.ring
+        for q in qs if n == 3 else qs[:1]:
+            degrees = ring.relation_degrees + tuple(q * d for d in eng.ideal.degrees)
+            top = sum(degrees) - n + 1
+            series = _parameter_series(degrees, n, top)
+            assert series[top] == 0 and series[top - 1] > 0
+            for k in range(top + 1):
+                assert _length(eng, q, k) == series[k], (n, q, k)
+                assert eng.degree_containment(q, k) == (series[k] == 0)
+
+
+# -- containment over R' against membership's classes over R ----------------
+
+
+def _check_quotient_ranks(eng, q, m):
+    """The deficit of each class over R of the degree-m matrix that has rows
+    (_piece) against that of the same class over R' (_pieces; 0 when R'
+    leaves it no rows): R/I^[q] = R'/J^[q]R' class by class.  Returns the
+    number of those classes that R' leaves fewer rows, and no rows."""
+    quotient = eng._pieces(q, m)
+    r_classes = _r_classes(eng, q, m)
+    assert {key for key, piece in quotient.items() if piece.rows} <= set(r_classes)
     some = every = 0
-    for piece in eng._pieces(q, m).values():
-        if not piece.rows:
-            continue
-        rows, cols, A = eng._assemble(q, piece)
-        del restricted[:]
-        assert eng._rank(q, piece, eng._unit_powers(q)) == linalg.rank_mod(A, p)
-        if not restricted:
-            # every row covered: nothing assembled
-            every += 1
-            some += 1
-            continue
-        (part, B), = restricted
-        assert not set(part.rows) & set(part.dropped)
-        assert set(part.rows) | set(part.dropped) == set(rows)
-        some += bool(part.dropped)
-        at_row = {mono: r for r, mono in enumerate(rows)}
-        at_col = {col: j for j, col in enumerate(cols)}
-        expected = []
-        for mono in part.rows:
-            whole_row = A.rows[at_row[mono]]
-            expected.append({k: whole_row[at_col[col]]
-                             for k, col in enumerate(part.cols)
-                             if at_col[col] in whole_row})
-        assert B.rows == expected
+    for key, piece in r_classes.items():
+        small = quotient.get(key)
+        rows = small.rows if small else []
+        assert set(rows) <= set(piece.rows)
+        assert _deficit(eng, q, piece) == (_deficit(eng, q, small) if rows else 0)
+        some += len(rows) < len(piece.rows)
+        every += not rows
     return some, every
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 2**31 - 1))
-def test_unit_column_rank_matches_the_whole_class(p, restricted):
+def test_unit_column_rank_matches_the_whole_class(p):
     rng = random.Random(11 * p)
     qs = (1, p) if p < 10 else (1,)
     seen_some = seen_every = 0
@@ -384,7 +447,7 @@ def test_unit_column_rank_matches_the_whole_class(p, restricted):
         for q in qs:
             low = q * min(eng.ideal.degrees)
             for m in range(low, low + 4):
-                some, every = _check_unit_ranks(eng, q, m, restricted)
+                some, every = _check_quotient_ranks(eng, q, m)
                 seen_some += some
                 seen_every += every
     assert seen_some and seen_every
@@ -410,75 +473,82 @@ def _plane_conic(p):
     return MembershipEngine(ring, IdealSpec.from_strings(ring, ["x", "y^2 - z^2"]))
 
 
-def test_one_term_power_whose_product_is_not_a_row_stays_a_column(restricted):
-    # x * y = z^2: column (x, y) of the class of z^2 is not a unit column,
-    # while (x, x) covers the row x^2 of that class
+def test_one_term_power_whose_product_is_not_a_row_stays_a_column():
+    # x * y = z^2: x shares x with the lead xy, so it is no free unit, R' = R,
+    # and its columns stay: (x, y) in the class of z^2, and (x, x) on its
+    # row x^2
     eng = _plane_conic(5)
-    _check_unit_ranks(eng, 1, 2, restricted)
+    assert eng._quotient(1) == (eng.ring, [0, 1])
     piece = eng._pieces(1, 2)[class_keys(eng._echelon, [(0, 0, 2)])[0]]
-    assert (0, (0, 1, 0)) in piece.cols
-    del restricted[:]
-    eng._rank(1, piece, eng._unit_powers(1))
-    (part, _), = restricted
-    assert (0, (0, 1, 0)) in part.cols and part.dropped == {(2, 0, 0)}
+    assert (0, (0, 1, 0)) in piece.cols and (0, (1, 0, 0)) in piece.cols
+    assert (2, 0, 0) in piece.rows
+    _check_quotient_ranks(eng, 1, 2)
 
 
-def test_two_unit_columns_on_one_row_cover_it_once(restricted):
-    # y^(2q) * z^q and (yz)^q * y^q are both the row y^(2q) z^q
+def test_two_unit_columns_on_one_row_cover_it_once():
+    # y^(2q), (yz)^q and z^(2q) are free units, and y^(2q) * z^q is divided
+    # by two of them: R' drops it once, and its Hilbert function, an
+    # inclusion-exclusion over their lcms, counts R's standard monomials
+    # that no unit divides
     for p in (2, 3, 5):
         ring = fermat_cubic_ring(p)
         eng = MembershipEngine(ring, IdealSpec.from_strings(
             ring, ["x^2", "y^2", "y*z", "z^2"]))
         for q in (1, p):
-            unit_cols = [(i, mono) for piece in eng._pieces(q, 3 * q).values()
-                         for i, mono in piece.cols if i in (1, 2)]
-            covers = [monomial_mul(mono, eng._unit_powers(q)[i])
-                      for i, mono in unit_cols]
-            assert covers.count((0, 2 * q, q)) == 2
+            quotient, kept = eng._quotient(q)
+            assert kept == [0]
+            assert quotient.units == ((0, 2 * q, 0), (0, q, q), (0, 0, 2 * q))
+            assert (0, 2 * q, q) not in quotient.graded_basis(3 * q)
             for m in range(2 * q, 3 * q + 2):
-                some, _ = _check_unit_ranks(eng, q, m, restricted)
+                standard = tuple(mono for mono in ring.graded_basis(m) if not any(
+                    monomial_divides(u, mono) for u in quotient.units))
+                assert quotient.graded_basis(m) == standard
+                assert quotient.hilbert_dim(m) == len(standard)
+                some, _ = _check_quotient_ranks(eng, q, m)
                 assert some
 
 
-def test_skip_does_not_fire_on_a_unit_sharing_a_lead_variable(restricted, reduced):
-    # x^q * y = x^(q-1) * z^2, a row that no unit column covers: a product
-    # that x^q divides is still reduced, and the restricted matrix is the
-    # whole class on its rows and columns
+def test_skip_does_not_fire_on_a_unit_sharing_a_lead_variable(reduced):
+    # x^q * y = x^(q-1) * z^2: x^q shares x with the lead xy, so containment
+    # stays in R, and a product that x^q divides is still reduced
     for p in (2, 3, 5, 7):
         eng = _plane_conic(p)
         for q in (1, p):
+            assert eng._quotient(q)[0] is eng.ring
             for m in range(q, q + 6):
-                _check_unit_ranks(eng, q, m, restricted)
+                _check_quotient_ranks(eng, q, m)
         del reduced[:]
-        units = eng._unit_powers(1)
         for piece in eng._pieces(1, 3).values():
-            if piece.rows:
-                eng._rank(1, piece, units)
-        assert any(monomial_divides(units[0], mono) for mono in reduced)
+            eng._assemble(1, piece)
+        assert any(monomial_divides((1, 0, 0), mono) for mono in reduced)
 
 
-def test_free_unit_monomials_skip_the_normal_form(restricted, reduced):
-    # on the Fermat cubic the lead x^3 leaves y and z free: no product that
-    # y^(2q) or z^(2q) divides is reduced once their columns are taken (at
-    # p = 3, NF(x^6) is free of x and no product is reduced at all)
+def test_free_unit_monomials_skip_the_normal_form(reduced):
+    # on the Fermat cubic the lead x^3 leaves y and z free: in R' = R/(y^(2q),
+    # z^(2q)) no product that y^(2q) or z^(2q) divides is reduced, while
+    # membership's classes over R reduce some (at p = 3, NF(x^6) is free of
+    # x and no product is reduced at all)
     for p in (2, 5, 7):
         ring = fermat_cubic_ring(p)
         eng = MembershipEngine(
             ring, IdealSpec.from_strings(ring, ["x^2", "y^2", "z^2"]))
         q = p
-        for i in range(3):
-            eng._generator_power(i, q)
-        pieces = eng._pieces(q, 3 * q + 1).values()
+        quotient, kept = eng._quotient(q)
+        assert quotient.units == ((0, 2 * q, 0), (0, 0, 2 * q)) and kept == [0]
+        for over in (ring, quotient):
+            for i in range(3):
+                eng._generator_power(i, q, over)
+        r_classes = _r_classes(eng, q, 3 * q + 1).values()
         del reduced[:]
-        for piece in pieces:
+        for piece in r_classes:
             eng._assemble(q, piece)
         assert [mono for mono in reduced if mono[1] >= 2 * q or mono[2] >= 2 * q]
         del reduced[:]
-        for piece in pieces:
-            eng._rank(q, piece, eng._unit_powers(q))
+        for piece in eng._pieces(q, 3 * q + 1).values():
+            eng._assemble(q, piece)
         assert not [mono for mono in reduced if mono[1] >= 2 * q or mono[2] >= 2 * q]
-        # every class of degree k(q) = 3q + 1 has rows covered
-        assert _check_unit_ranks(eng, q, 3 * q + 1, restricted)[0] == 9
+        # every class of degree k(q) = 3q + 1 has rows R' drops
+        assert _check_quotient_ranks(eng, q, 3 * q + 1)[0] == 9
 
 
 def test_relation_free_monomial_ideal_covers_every_row(monkeypatch):
@@ -492,6 +562,7 @@ def test_relation_free_monomial_ideal_covers_every_row(monkeypatch):
     ring = RingPresentation(5, ("x", "y", "z"))
     eng = MembershipEngine(ring, IdealSpec.from_strings(ring, ["x^2", "y^2", "z^2"]))
     for q in (5, 25):
+        assert eng._quotient(q)[1] == []
         assert eng.min_containment_degree(q) == 6 * q - 2
         assert not eng.degree_containment(q, 6 * q - 3)
 
@@ -499,11 +570,11 @@ def test_relation_free_monomial_ideal_covers_every_row(monkeypatch):
 # -- the class map against one monomial at a time ----------------------------
 
 
-def _reference_pieces(eng, rng, q, m):
-    """The class map of the degree-m matrix, keyed one monomial at a time:
-    each row by its own class key, each column (i, mono) by the key of
-    mono * x^(q*t), for a term x^t of f_i drawn at random."""
-    ring = eng.ring
+def _reference_pieces(eng, rng, q, m, ring, kept):
+    """The class map of the degree-m matrix over ring (R, or R' of
+    _quotient(q)), with the generators in kept, keyed one monomial at a
+    time: each row by its own class key, each column (i, mono) by the key
+    of mono * x^(q*t), for a term x^t of f_i drawn at random."""
 
     def key(mono):
         return class_keys(eng._echelon, [mono])[0]
@@ -511,11 +582,13 @@ def _reference_pieces(eng, rng, q, m):
     rows, cols = {}, {}
     for mono in ring.graded_basis(m):
         rows.setdefault(key(mono), []).append(mono)
-    for i, g in enumerate(eng.ideal.generators):
+    for i in kept:
+        g = eng.ideal.generators[i]
         shift = tuple(q * a for a in rng.choice(list(g.terms)))
         for mono in ring.graded_basis(m - q * g.degree()):
             cols.setdefault(key(monomial_mul(mono, shift)), []).append((i, mono))
-    return [(k, Piece(rows.get(k, []), cols.get(k, []))) for k in {**rows, **cols}]
+    return [(k, Piece(rows.get(k, []), cols.get(k, []), ring))
+            for k in {**rows, **cols}]
 
 
 @pytest.mark.parametrize("p", PRIMES + (4294967291,))
@@ -538,7 +611,7 @@ def test_class_map_matches_keying_each_monomial(p):
     for eng, q, degrees in cases:
         for m in degrees:
             pieces = list(eng._pieces(q, m).items())
-            assert pieces == _reference_pieces(eng, rng, q, m)
+            assert pieces == _reference_pieces(eng, rng, q, m, *eng._quotient(q))
             seen_split += len(pieces) > 1
             # a class whose columns come from more than one generator
             seen_shared += any(len({i for i, _ in piece.cols}) > 1
@@ -635,11 +708,11 @@ def test_coset_walk_matches_the_filtered_graded_basis(p):
                 expected = split.get(key, [])
                 seen["no standard monomial"] += not expected
                 assert coset_monomials(gb, echelon, mono, m) == expected, (name, m)
-            # membership's class against the class map, at every class with
-            # rows; a source degree below 0 gives that generator no columns
-            pieces = eng._pieces(q, m)
+            # membership's class against the class map over R, at every class
+            # with rows; a source degree below 0 gives that generator no columns
+            pieces = _reference_pieces(eng, rng, q, m, *_over_r(eng))
             seen["negative source"] += m < q * max(eng.ideal.degrees)
-            for key, piece in pieces.items():
+            for key, piece in pieces:
                 if piece.rows:
                     assert eng._piece(q, m, key) == piece, (name, m, key)
         assert coset_monomials(gb, echelon, (0,) * ring.num_vars, -1) == []
@@ -715,7 +788,7 @@ def test_membership_solves_the_classes_of_the_class_map(monkeypatch):
                 keys = [class_keys(eng._echelon, [piece.rows[0]])[0]
                         for piece in pieces]
                 assert keys == (touched if member else touched[: len(keys)])
-                class_map = eng._pieces(q, m)
+                class_map = dict(_reference_pieces(eng, rng, q, m, *_over_r(eng)))
                 assert pieces == [class_map[key] for key in keys]
                 seen_member += member
                 seen_split += len(pieces) > 1

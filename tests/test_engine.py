@@ -15,7 +15,7 @@ from frobpow.engine import (
     tight_closure_witness_test,
 )
 from frobpow.groebner import monomials_of_degree
-from frobpow.polynomials import Polynomial, poly_parse
+from frobpow.polynomials import Polynomial, monomial_divides, poly_parse
 from frobpow.rings import RingPresentation
 
 from conftest import (
@@ -340,8 +340,9 @@ def test_pieces_enumerate_each_degree_once_and_keep_none(cubic_squares, monkeypa
 
 
 def test_pieces_key_each_degree_once_and_move_whole_classes(cubic_squares, monkeypatch):
-    # degree 22 (66 monomials) and the shared source degree 8 (24 monomials,
-    # 9 classes) are keyed once each; each of x^2, y^2 and z^2 then moves
+    # containment runs in R' = R/(y^14, z^14), where x^2 is the one kept
+    # generator: degree 22 (18 monomials of R''s, of R's 66) and its source
+    # degree 8 (24 monomials, 9 classes) are keyed once each; x^2 then moves
     # the 9 source classes by their keys alone
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)
@@ -355,7 +356,8 @@ def test_pieces_key_each_degree_once_and_move_whole_classes(cubic_squares, monke
 
     monkeypatch.setattr(engine, "class_keys", spied)
     eng._pieces(7, 22)
-    assert sizes == [66, 24, 9, 9, 9]
+    assert eng._quotient(7)[1] == [0]
+    assert sizes == [18, 24, 9]
 
 
 def test_non_primary_ideal_never_contains():
@@ -657,17 +659,36 @@ def test_deficit_degree_is_decided_before_assembly(cubic_squares, no_assembly):
 
 
 def _class_shapes_sum(eng, q, m):
-    # the shape of the whole-degree matrix, as the sum of its classes'
+    # the shape of the whole-degree matrix over R', as the sum of its classes'
     pieces = eng._pieces(q, m).values()
     shapes = [eng._assemble(q, piece)[2].shape for piece in pieces]
     return tuple(map(sum, zip(*shapes)))
 
 
+def _quotient_shape(eng, q, m):
+    """The whole-degree shape over R' = _quotient(q)[0], counted from R's
+    standard monomials that no unit divides."""
+    ring, kept = eng._quotient(q)
+    units = getattr(ring, "units", ())
+
+    def dim(s):
+        return sum(not any(monomial_divides(u, mono) for u in units)
+                   for mono in eng.ring.graded_basis(s))
+
+    return dim(m), sum(dim(m - q * eng.ideal.degrees[i]) for i in kept)
+
+
 def test_zero_generator_power_gives_zero_columns():
-    # x^5 = 0 in F_5[x,y]/(x^2): its columns are zero, not left out
+    # x^5 = 0 in F_5[x,y]/(x^2): its columns are zero, not left out, in
+    # R' = R/(y^5) too, where it is the one kept generator
     ring = RingPresentation(5, XY, [poly_parse("x^2", XY, 5)])
     eng = engine_for(ring, ["x", "y"])
-    assert _class_shapes_sum(eng, 5, 7) == eng.check_matrix_size(5, 7) == (2, 4)
+    assert eng.check_matrix_size(5, 7) == (2, 4)
+    assert eng._generator_power(0, 5, ring).is_zero()
+    assert eng._quotient(5)[1] == [0]
+    for m, shape in ((5, (1, 1)), (7, (0, 2))):
+        assert _class_shapes_sum(eng, 5, m) == _quotient_shape(eng, 5, m) == shape
+    assert not eng.degree_containment(5, 5)
     h = ring.parse("x*y^6")
     cert = eng.membership(5, h)
     assert cert.member
@@ -681,4 +702,4 @@ def test_assembled_shape_is_the_hilbert_shape(cubic_squares):
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)
     for q, m in ((1, 0), (1, 1), (1, 5), (7, 13), (7, 14), (7, 22)):
-        assert _class_shapes_sum(eng, q, m) == eng.check_matrix_size(q, m)
+        assert _class_shapes_sum(eng, q, m) == _quotient_shape(eng, q, m)

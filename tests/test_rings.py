@@ -6,7 +6,13 @@ import pytest
 
 from frobpow import rings
 from frobpow.groebner import buchberger, monomials_of_degree, standard_monomials
-from frobpow.polynomials import Polynomial, monomial_degree, monomial_lcm, poly_parse
+from frobpow.polynomials import (
+    Polynomial,
+    monomial_degree,
+    monomial_divides,
+    monomial_lcm,
+    poly_parse,
+)
 from frobpow.rings import AssumptionMissing, RingPresentation
 
 from conftest import fermat_cubic_ring, fermat_quartic_ring
@@ -304,3 +310,58 @@ def test_frobenius_rule_keeps_the_cache_small():
     ring = fermat_cubic_ring(7)
     ring.monomial_normal_form((686, 0, 0))
     assert len(ring._nf_cache) < 1000
+
+
+# -- quotients by free monomials ---------------------------------------------
+
+
+def _random_units(rng, ring, count):
+    """count random monomials of degree 1..4 in the variables that no
+    leading monomial of ring uses, some dividing others."""
+    leads = ring.groebner_basis().leading_monomials
+    free = [j for j in range(ring.num_vars) if not any(lm[j] for lm in leads)]
+    units = []
+    for _ in range(count):
+        mono = [0] * ring.num_vars
+        for _ in range(rng.randint(1, 4)):
+            mono[rng.choice(free)] += 1
+        units.append(tuple(mono))
+    return units
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_quotient_ring_matches_division_by_units_and_leads(p):
+    # R' = R/(units), the units free of R's leading variables: its graded
+    # bases are R's less the monomials a unit divides, its Hilbert function
+    # (an inclusion-exclusion over the units' lcms) counts them, and its
+    # normal form is plain division by the units and R's Groebner basis
+    from frobpow.groebner import normal_form
+
+    rng = random.Random(40 + p)
+    for ring in (fermat_cubic_ring(p), fermat_quartic_ring(p), poly_ring(p, XYZ)):
+        n = ring.num_vars
+        for _ in range(4):
+            units = _random_units(rng, ring, rng.randint(1, 5))
+            quotient = rings.QuotientRing(ring, units)
+            division = [Polynomial(p, n, {t: 1}) for t in units] + list(
+                ring.groebner_basis())
+            assert quotient.hilbert_dim(-1) == 0
+            for m in range(9):
+                standard = tuple(mono for mono in ring.graded_basis(m) if not any(
+                    monomial_divides(t, mono) for t in units))
+                assert quotient.graded_basis(m) == standard
+                assert quotient.hilbert_dim(m) == len(standard)
+                monos = list(monomials_of_degree(n, m))
+                monos = rng.sample(monos, min(3, len(monos)))
+                f = Polynomial(p, n, {mono: rng.randrange(1, p) for mono in monos})
+                assert quotient.normal_form(f) == normal_form(f, division), (units, m)
+
+
+def test_quotient_by_many_units_counts_fast():
+    # every monomial of degree 5 in x, y, z: 21 units, 2^21 subsets in a
+    # plain inclusion-exclusion; F_2[x,y,z]/(x,y,z)^5 has the monomials of
+    # degree below 5, and the units' lcm sum is the same however they repeat
+    ring = poly_ring(2, XYZ)
+    units = list(monomials_of_degree(3, 5))
+    quotient = rings.QuotientRing(ring, units + units[::-1])
+    assert [quotient.hilbert_dim(m) for m in range(8)] == [1, 3, 6, 10, 15, 0, 0, 0]
