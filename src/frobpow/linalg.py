@@ -31,9 +31,9 @@ of the count, a matrix whose pivot rows hold on average at least ``_FILL`` of
 the width has filled in: they and the rows not yet reduced, which span the
 same row space as the input, are stacked into a numpy array and finished by
 ``row_echelon_mod`` (the sparse-then-dense split of Faugere-Lachartre, PASCO
-2010).  ``rank_mod`` stacks them on only the columns they hold, since a rank
-needs no column positions; ``solve_mod`` keeps the full width, because its
-pivots and its solution are read by column position.  A matrix whose pivot
+2010).  Both stack them at the matrix's full width, ``solve_mod`` with the
+right-hand side as its last column; a column empty in every stacked row is
+never a pivot, and ``row_echelon_mod`` passes over it.  A matrix whose pivot
 rows stay sparse is finished in Python.  numpy is imported in the dense
 finish and ``SparseMatrix.__array__``, nowhere else.
 
@@ -260,27 +260,16 @@ def _peel(rows, width):
     return live.count(False), [row for row, alive in zip(rows, live) if alive and row]
 
 
-def _compact(pivots, rest):
-    """(pivots, rest, width) renumbered onto the columns that some row of
-    them holds, in column order.  Every other column is zero in the whole
-    system left, so it is never a pivot."""
-    held = sorted(set().union(*pivots.values(), *rest))
-    at = {j: k for k, j in enumerate(held)}
-    pivots = {at[c]: {at[j]: v for j, v in row.items()} for c, row in pivots.items()}
-    rest = [{at[j]: v for j, v in row.items()} for row in rest]
-    return pivots, rest, len(held)
-
-
 def rank_mod(A, p):
     """Rank over F_p of a SparseMatrix: structural pivots first (_peel), then
-    elimination of the rest.  A matrix that fills in is finished dense on
-    the columns its stacked rows hold (_compact), since a rank needs no
-    column positions; a peeled column is empty in every row left."""
+    elimination of the rest.  A matrix that fills in is finished dense at
+    its full width, as in solve_mod; a peeled column is empty in every row
+    left, so it is never a pivot there."""
     m, rows = _sparse_rows(A, p)
     peeled, rows = _peel(rows, m)
     pivots, rest = _eliminate(rows, m, p)
     if rest is not None:
-        pivots = row_echelon_mod(_dense(*_compact(pivots, rest), p), p)
+        pivots = row_echelon_mod(_dense(pivots, rest, m, p), p)
     return peeled + len(pivots)
 
 

@@ -129,10 +129,10 @@ MUTANTS = [
         ["tests/test_linalg.py::test_structural_pivots_on_small_cases"],
     ),
     (
-        "_compact drops the last held column",
+        "rank_mod stacks only the pivot rows, dropping the rows left unreduced",
         "linalg.py",
-        "    held = sorted(set().union(*pivots.values(), *rest))",
-        "    held = sorted(set().union(*pivots.values(), *rest))[:-1]",
+        "        pivots = row_echelon_mod(_dense(pivots, rest, m, p), p)",
+        "        pivots = row_echelon_mod(_dense(pivots, [], m, p), p)",
         ["tests/test_linalg.py::test_rank_finishes_dense_on_the_columns_it_holds"],
     ),
     (

@@ -319,6 +319,27 @@ def test_fermat_cubic_squares_at_p5_rank_each_class_once(monkeypatch):
         assert len(ranks) == 9
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_dense_containment_stacks_hold_every_column(monkeypatch, p):
+    # a budget of 0 sends every containment class that fills in to the
+    # dense finish, which stacks it at its full width.  Over R' =
+    # R/(y^(2q), z^(2q)) no stacked class leaves a column empty: a unit
+    # column back in a class would be peeled and then stacked empty
+    monkeypatch.setattr(linalg, "_BUDGET", 0)
+    full, echelon = [], linalg.row_echelon_mod
+
+    def spy(M, p):
+        full.append(bool(M.any(axis=0).all()))
+        return echelon(M, p)
+
+    monkeypatch.setattr(linalg, "row_echelon_mod", spy)
+    ring = fermat_cubic_ring(p)
+    eng = MembershipEngine(ring, IdealSpec.from_strings(ring, ["x^2", "y^2", "z^2"]))
+    for q in (p, p * p):
+        assert eng.min_containment_degree(q, cap=eng.default_cap(q)) == 3 * q + 1
+    assert full and all(full)
+
+
 def test_pieces_enumerate_each_degree_once_and_keep_none(cubic_squares, monkeypatch):
     # x^2, y^2 and z^2 share the source degree 22 - 2*7 = 8, so one call
     # enumerates degrees 22 and 8 once each; a second call enumerates both

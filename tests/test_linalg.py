@@ -457,10 +457,10 @@ def test_dense_finish_behind_a_border_of_singleton_columns(monkeypatch):
 
 
 def bordered_core(rng, p, n, m, border, empty):
-    """(A, core width): a random n x m core, about a third nonzero and every
-    column held at least twice, beside `border` rows that each hold core
-    entries and the one entry of a column of their own, and `empty` zero
-    columns; rows and columns scrambled."""
+    """A random n x m core, about a third nonzero and every column held at
+    least twice, beside `border` rows that each hold core entries and the
+    one entry of a column of their own, and `empty` zero columns; rows and
+    columns scrambled."""
     core = [[rng.randrange(1, p) if rng.random() < 0.35 else 0 for _ in range(m)]
             for _ in range(n)]
     for j in range(m):
@@ -475,7 +475,7 @@ def bordered_core(rng, p, n, m, border, empty):
     perm = list(range(m + border + empty))
     rng.shuffle(perm)
     rng.shuffle(rows)
-    return [[row[j] for j in perm] for row in rows], m
+    return [[row[j] for j in perm] for row in rows]
 
 
 @pytest.mark.parametrize(
@@ -484,8 +484,9 @@ def bordered_core(rng, p, n, m, border, empty):
 def test_rank_finishes_dense_on_the_columns_it_holds(monkeypatch, p):
     # a budget of 0 asks at the second update whether the pivot rows have
     # filled in, and a third-full core has: the border peels off, and the
-    # dense finish of rank_mod sees only the core's columns, that of
-    # solve_mod the full width and the right-hand side
+    # dense finishes of rank_mod and solve_mod alike stack the rows at the
+    # full width (solve_mod's with the right-hand side), peeled and empty
+    # columns included; neither is ever a pivot
     monkeypatch.setattr(linalg, "_BUDGET", 0)
     widths, echelon = [], linalg.row_echelon_mod
 
@@ -495,13 +496,17 @@ def test_rank_finishes_dense_on_the_columns_it_holds(monkeypatch, p):
 
     monkeypatch.setattr(linalg, "row_echelon_mod", spy)
     rng = random.Random(p)
-    for _ in range(4):
-        A, core = bordered_core(rng, p, rng.randint(12, 30), rng.randint(12, 30),
-                                rng.randint(1, 8), rng.randint(1, 8))
+    cases = [bordered_core(rng, p, rng.randint(12, 30), rng.randint(12, 30),
+                           rng.randint(1, 8), rng.randint(1, 8)) for _ in range(4)]
+    # zero columns 124 to 131 straddle the first panel boundary, and the
+    # core's rank, near 132, takes the elimination past it with rows left
+    wide = bordered_core(rng, p, 136, 132, 2, 0)
+    cases.append([row[:124] + [0] * 8 + row[124:] for row in wide])
+    for A in cases:
         width = len(A[0])
         widths.clear()
         assert rank_mod(sparse(A), p) == rank_oracle(A, p)
-        assert widths == [core] and core < width
+        assert widths == [width]
         widths.clear()
         b = [rng.randrange(p) for _ in A]
         assert solve_mod(sparse(A), b, p) == dense_solve(np.array(A), b, p)
