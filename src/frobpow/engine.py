@@ -22,19 +22,20 @@ differs from each of its monomials by a lattice vector.  Monomials differ by
 a lattice vector exactly when their shifts by q * exp(f_i) do, so the shift
 is one to one on classes: generator i's columns in a class are one whole
 class of R_{m - q*d_i}, the coset of the key minus q * exp(f_i), rows and
-columns kept in relative order.  Membership solves only the classes of
-NF(h), each walked from its key by ``groebner.coset_monomials`` without
-building any whole degree: false only when one has no solution, true only
-once the certificate re-verifies.  Containment runs in R' = R/(x^t) over
-the generator powers NF(f_i^q) = c*x^t with x^t free of every leading
-variable (``_quotient``), where R_k lies in I^[q] exactly when R'_k lies in
-the other powers' ideal.  It needs every class, and ranks them one at a
-time from the class map {key: ``Piece``}, which splits each whole-degree
-basis of R'.  Classes share no rows and no columns, so every pivot and
-certificate is the one a whole-degree solve would give.  All of this is
-plain Python: a class is assembled as a ``linalg.SparseMatrix`` of dict
-rows, and only linalg's dense finish, for a class that fills in, imports
-numpy.
+columns kept in relative order; one routine (``_columns``) walks them from
+the key with ``groebner.coset_monomials``, for membership and containment
+alike.  Membership solves only the classes of NF(h), whose rows are walked
+the same way, without building any whole degree: false only when one has
+no solution, true only once the certificate re-verifies.  Containment runs
+in R' = R/(x^t) over the generator powers NF(f_i^q) = c*x^t with x^t free
+of every leading variable (``_quotient``), where R_k lies in I^[q] exactly
+when R'_k lies in the other powers' ideal.  It needs every class that has
+rows, and ranks them one at a time from the class map {key: ``Piece``},
+which splits R''s degree-k basis alone.  Classes share no rows and no
+columns, so every pivot and certificate is the one a whole-degree solve
+would give.  All of this is plain Python: a class is assembled as a
+``linalg.SparseMatrix`` of dict rows, and only linalg's dense finish, for a
+class that fills in, imports numpy.
 """
 
 from collections import Counter, namedtuple
@@ -42,7 +43,7 @@ from collections import Counter, namedtuple
 from . import linalg
 from .bounds import compute_nu, inclusion_threshold
 from .groebner import coset_monomials
-from .polynomials import Polynomial, check_p_power, monomial_mul
+from .polynomials import Polynomial, check_p_power
 from .rings import AssumptionMissing, QuotientRing
 
 EVIDENCE_NOTE = (
@@ -195,9 +196,10 @@ class MembershipEngine:
 
     check_matrix_size is the one place that sizes a membership matrix, by
     R's Hilbert function.  Containment runs over R' (_quotient), where
-    _shape_verdict answers from the shape alone when it can; _piece walks
-    the one class of a key over R for membership, and _assemble builds one
-    class over either ring.
+    _shape_verdict answers from the shape alone when it can; _pieces splits
+    R''s degree into its classes, _piece walks the one class of a key over
+    R for membership, _columns walks a class's columns from its key for
+    both, and _assemble builds one class over either ring.
 
     ``nu``, the slope constant of the inclusion bound, is derived from the
     ring's flags by bounds.compute_nu (None when they do not establish it);
@@ -269,52 +271,48 @@ class MembershipEngine:
             raise MatrixTooLarge(q, m, rows, cols, self.max_entries)
         return rows, cols
 
+    def _columns(self, q, m, key, ring, generators):
+        """The columns of the class with this key in the degree-m matrix
+        for q over ring, for the generators given, in order: generator i's
+        are the standard monomials of degree m - q*d_i in key - q*exp(f_i)
+        + L, the one source class the shift moves onto the class, walked
+        from that coset by ``groebner.coset_monomials``."""
+        gb, cols = ring.groebner_basis(), []
+        for i in generators:
+            source = [k - q * a for k, a in zip(key, self._exponents[i])]
+            cols.extend((i, mono) for mono in coset_monomials(
+                gb, self._echelon, source, m - q * self.ideal.degrees[i]))
+        return cols
+
     def _pieces(self, q, m):
         """The class map of the degree-m matrix for q over R' (_quotient):
-        {class key: Piece}, keys in order of first appearance (row classes,
-        then column classes in generator order).  The graded basis of R' in
-        each distinct degree, m and each m - q*d_i of a kept generator, is
-        built and split into classes once, for this call only; generator
-        i's columns in a class are one whole source class, moved by its key.
-        A source degree below 0 has an empty basis, and a generator power
-        that is zero still gives its columns, so the shapes sum to R''s
-        whole-degree shape."""
+        {class key: Piece}, one for each class of R''s degree-m basis, keys
+        in order of first appearance.  That basis is built and split once,
+        for this call only; each class's columns, over the kept generators,
+        are walked from its key (_columns).  A class with columns but no
+        rows is left out: no rank test reads it."""
         ring, kept = self._quotient(q)
+        basis = ring.graded_basis(m)
         split = {}
-        for s in dict.fromkeys([m] + [m - q * self.ideal.degrees[i] for i in kept]):
-            basis = ring.graded_basis(s)
-            classes = split[s] = {}
-            for key, mono in zip(class_keys(self._echelon, basis), basis):
-                classes.setdefault(key, []).append(mono)
-        pieces = {key: Piece(monos, [], ring) for key, monos in split[m].items()}
-        for i in kept:
-            source = split[m - q * self.ideal.degrees[i]]
-            shift = tuple(q * a for a in self._exponents[i])
-            moved = class_keys(self._echelon, [monomial_mul(k, shift) for k in source])
-            for key, monos in zip(moved, source.values()):
-                cols = pieces.setdefault(key, Piece([], [], ring)).cols
-                cols.extend((i, mono) for mono in monos)
-        return pieces
+        for key, mono in zip(class_keys(self._echelon, basis), basis):
+            split.setdefault(key, []).append(mono)
+        return {key: Piece(rows, self._columns(q, m, key, ring, kept), ring)
+                for key, rows in split.items()}
 
     def _piece(self, q, m, key):
         """The class over R of the degree-m matrix for q with this key,
         walked from the key alone: the rows are the standard monomials of
-        degree m in key + L, and generator i's columns those of degree
-        m - q*d_i in key - q*exp(f_i) + L, the one source class the shift
-        moves onto it.  Membership solves in R, not R': its certificate is
-        the solution over all of R's columns."""
-        gb = self.ring.groebner_basis()
-        cols = []
-        for i, d in enumerate(self.ideal.degrees):
-            source = [k - q * a for k, a in zip(key, self._exponents[i])]
-            cols.extend((i, mono) for mono in coset_monomials(
-                gb, self._echelon, source, m - q * d))
-        return Piece(coset_monomials(gb, self._echelon, key, m), cols, self.ring)
+        degree m in key + L, the columns those of every generator
+        (_columns).  Membership solves in R, not R': its certificate is the
+        solution over all of R's columns."""
+        rows = coset_monomials(self.ring.groebner_basis(), self._echelon, key, m)
+        cols = self._columns(q, m, key, self.ring, range(len(self.ideal.generators)))
+        return Piece(rows, cols, self.ring)
 
     def _assemble(self, q, piece):
-        """Rows, columns and sparse matrix of one class of the degree-m
-        matrix over piece.ring: entry (r, j) is the coefficient of row r in
-        NF(mono * f_i^q) for column j = (i, mono).
+        """Rows, columns and sparse matrix of one class, which has rows, of
+        the degree-m matrix over piece.ring: entry (r, j) is the coefficient
+        of row r in NF(mono * f_i^q) for column j = (i, mono).
 
         Monomials are packed into ints (``_packing``), so a product term is
         one addition.  A product that is a row, a standard monomial, is its
@@ -324,10 +322,6 @@ class MembershipEngine:
         form off the rows is a KeyError.  Each column's coefficients are
         summed per row and reduced mod p once."""
         rows, cols, ring = piece
-        shape = (len(rows), len(cols))
-        # a class with no rows: every normal form in it is zero
-        if not rows:
-            return rows, cols, linalg.SparseMatrix(shape, [])
         entries = [{} for _ in rows]
         p = ring.p
         pack, unpack = _packing(sum(rows[0]), ring.num_vars)
@@ -356,7 +350,7 @@ class MembershipEngine:
                 v %= p
                 if v:
                     entries[r][j] = v
-        return rows, cols, linalg.SparseMatrix(shape, entries)
+        return rows, cols, linalg.SparseMatrix((len(rows), len(cols)), entries)
 
     # -- operations --------------------------------------------------------
 
@@ -430,7 +424,7 @@ class MembershipEngine:
         if any(len(piece.cols) < len(piece.rows) for piece in pieces):
             return False
         return all(linalg.rank_mod(self._assemble(q, piece)[2], piece.ring.p)
-                   == len(piece.rows) for piece in pieces if piece.rows)
+                   == len(piece.rows) for piece in pieces)
 
     def threshold(self, q):
         """The inclusion threshold, least m > q * nu + a; None without nu."""

@@ -187,10 +187,16 @@ MUTANTS = [
     (
         "membership's _piece is built over R' (the certificate ring changes)",
         "engine.py",
-        "        return Piece(coset_monomials(gb, self._echelon, key, m), cols, self.ring)",
-        "        return Piece(coset_monomials(gb, self._echelon, key, m), cols,"
-        " self._quotient(q)[0])",
+        "        return Piece(rows, cols, self.ring)",
+        "        return Piece(rows, cols, self._quotient(q)[0])",
         [f"{CLASSES}::test_class_split_matches_the_whole_degree_matrix[7]"],
+    ),
+    (
+        "_columns walks the source coset plus q*exp(f_i), not minus",
+        "engine.py",
+        "            source = [k - q * a for k, a in zip(key, self._exponents[i])]",
+        "            source = [k + q * a for k, a in zip(key, self._exponents[i])]",
+        [f"{CLASSES}::test_class_map_matches_keying_each_monomial[3]"],
     ),
     (
         "_lcm_sum flips the inclusion-exclusion sign",

@@ -341,9 +341,9 @@ def test_dense_containment_stacks_hold_every_column(monkeypatch, p):
 
 
 def test_pieces_enumerate_each_degree_once_and_keep_none(cubic_squares, monkeypatch):
-    # x^2, y^2 and z^2 share the source degree 22 - 2*7 = 8, so one call
-    # enumerates degrees 22 and 8 once each; a second call enumerates both
-    # again, as nothing is kept between calls
+    # one call enumerates degree 22 once; the columns, in source degree
+    # 22 - 2*7 = 8, are walked class by class, not enumerated.  A second
+    # call enumerates degree 22 again, as nothing is kept between calls
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)
     seen = []
@@ -355,16 +355,15 @@ def test_pieces_enumerate_each_degree_once_and_keep_none(cubic_squares, monkeypa
 
     monkeypatch.setattr(rings, "standard_monomials", spied)
     first = eng._pieces(7, 22)
-    assert sorted(seen) == [8, 22]
+    assert seen == [22]
     assert eng._pieces(7, 22) == first
-    assert sorted(seen) == [8, 8, 22, 22]
+    assert seen == [22, 22]
 
 
-def test_pieces_key_each_degree_once_and_move_whole_classes(cubic_squares, monkeypatch):
+def test_pieces_key_only_their_degree(cubic_squares, monkeypatch):
     # containment runs in R' = R/(y^14, z^14), where x^2 is the one kept
-    # generator: degree 22 (18 monomials of R''s, of R's 66) and its source
-    # degree 8 (24 monomials, 9 classes) are keyed once each; x^2 then moves
-    # the 9 source classes by their keys alone
+    # generator: degree 22 (18 monomials of R''s, of R's 66) is keyed once,
+    # and the columns of each of its classes are walked from its key
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)
     sizes = []
@@ -378,7 +377,7 @@ def test_pieces_key_each_degree_once_and_move_whole_classes(cubic_squares, monke
     monkeypatch.setattr(engine, "class_keys", spied)
     eng._pieces(7, 22)
     assert eng._quotient(7)[1] == [0]
-    assert sizes == [18, 24, 9]
+    assert sizes == [18]
 
 
 def test_non_primary_ideal_never_contains():
@@ -443,6 +442,18 @@ def test_containment_table_fermat_cubic(cubic_squares):
     assert (row.e, row.q) == (1, 7)
     assert row.k_empirical == 22 and row.k_threshold == 22 and row.tight
     assert row.cap_exceeded is None
+
+
+def test_containment_table_fermat_quartic():
+    # I = (x^3, y^3, z^3, w^3) on the Fermat quartic at p = 3: containment
+    # runs in R' = R/(y^(3q), z^(3q), w^(3q)), keeping x^3, whose columns in
+    # each of up to 64 classes per degree are walked from the class's key
+    eng = engine_for(fermat_quartic_ring(3), ["x^3", "y^3", "z^3", "w^3"])
+    assert eng._quotient(3)[1] == eng._quotient(9)[1] == [0]
+    table = containment_table(eng, 2)
+    assert [(row.q, row.k_empirical, row.k_threshold) for row in table] == [
+        (3, 25, 25), (9, 73, 73)]
+    assert all(row.k_empirical == 8 * row.q + 1 and row.tight for row in table)
 
 
 def test_containment_table_reports_cap_overflow():
@@ -679,36 +690,60 @@ def test_deficit_degree_is_decided_before_assembly(cubic_squares, no_assembly):
     assert eng.degree_containment(7, 15) is False
 
 
-def _class_shapes_sum(eng, q, m):
-    # the shape of the whole-degree matrix over R', as the sum of its classes'
-    pieces = eng._pieces(q, m).values()
-    shapes = [eng._assemble(q, piece)[2].shape for piece in pieces]
-    return tuple(map(sum, zip(*shapes)))
-
-
-def _quotient_shape(eng, q, m):
-    """The whole-degree shape over R' = _quotient(q)[0], counted from R's
-    standard monomials that no unit divides."""
+def _quotient_classes(eng, q, m):
+    """The classes of the degree-m matrix over R' = _quotient(q)[0], {key:
+    (rows, cols)}, built from R's standard monomials that no unit divides
+    and keyed one at a time: a row by its own key, a column (i, mono) of a
+    kept generator by that of mono * x^(q*t), for a term x^t of f_i."""
     ring, kept = eng._quotient(q)
     units = getattr(ring, "units", ())
 
-    def dim(s):
-        return sum(not any(monomial_divides(u, mono) for u in units)
-                   for mono in eng.ring.graded_basis(s))
+    def basis(s):
+        return [mono for mono in eng.ring.graded_basis(s)
+                if not any(monomial_divides(u, mono) for u in units)]
 
-    return dim(m), sum(dim(m - q * eng.ideal.degrees[i]) for i in kept)
+    def key(mono):
+        return engine.class_keys(eng._echelon, [mono])[0]
+
+    classes = {}
+    for mono in basis(m):
+        classes.setdefault(key(mono), ([], []))[0].append(mono)
+    for i in kept:
+        g = eng.ideal.generators[i]
+        t = next(iter(g.terms))
+        for mono in basis(m - q * g.degree()):
+            shifted = tuple(a + q * b for a, b in zip(mono, t))
+            classes.setdefault(key(shifted), ([], []))[1].append((i, mono))
+    return classes
+
+
+def _check_class_map(eng, q, m):
+    """The class map over R' against _quotient_classes: the same classes
+    that have rows, with the same rows and columns, assembled at that
+    shape; returns the reference's classes that have no rows."""
+    reference = _quotient_classes(eng, q, m)
+    for key, piece in eng._pieces(q, m).items():
+        rows, cols = reference.pop(key)
+        assert (piece.rows, piece.cols) == (rows, cols)
+        assert eng._assemble(q, piece)[2].shape == (len(rows), len(cols))
+    assert not any(rows for rows, _ in reference.values())
+    return reference
 
 
 def test_zero_generator_power_gives_zero_columns():
-    # x^5 = 0 in F_5[x,y]/(x^2): its columns are zero, not left out, in
-    # R' = R/(y^5) too, where it is the one kept generator
+    # x^5 = 0 in F_5[x,y]/(x^2): R's whole-degree shape counts its zero
+    # columns.  In R' = R/(y^5), where x is the one kept generator, they lie
+    # only in classes with no rows, which the class map leaves out
     ring = RingPresentation(5, XY, [poly_parse("x^2", XY, 5)])
     eng = engine_for(ring, ["x", "y"])
     assert eng.check_matrix_size(5, 7) == (2, 4)
     assert eng._generator_power(0, 5, ring).is_zero()
     assert eng._quotient(5)[1] == [0]
-    for m, shape in ((5, (1, 1)), (7, (0, 2))):
-        assert _class_shapes_sum(eng, 5, m) == _quotient_shape(eng, 5, m) == shape
+    for m, columns in ((5, [(0, (0, 0))]), (7, [(0, (1, 1)), (0, (0, 2))])):
+        rowless = _check_class_map(eng, 5, m)
+        assert [col for _, cols in rowless.values() for col in cols] == columns
+    assert list(eng._pieces(5, 5).values()) == [([(1, 4)], [], eng._quotient(5)[0])]
+    assert eng._pieces(5, 7) == {}
     assert not eng.degree_containment(5, 5)
     h = ring.parse("x*y^6")
     cert = eng.membership(5, h)
@@ -720,7 +755,11 @@ def test_zero_generator_power_gives_zero_columns():
 
 
 def test_assembled_shape_is_the_hilbert_shape(cubic_squares):
+    # the class map's rows are all of R'_m, as R''s Hilbert function counts
+    # them, and each class holds the columns keyed into it one at a time
     ring, ideal = cubic_squares
     eng = MembershipEngine(ring, ideal)
     for q, m in ((1, 0), (1, 1), (1, 5), (7, 13), (7, 14), (7, 22)):
-        assert _class_shapes_sum(eng, q, m) == _quotient_shape(eng, q, m)
+        _check_class_map(eng, q, m)
+        rows = sum(len(piece.rows) for piece in eng._pieces(q, m).values())
+        assert rows == eng._quotient(q)[0].hilbert_dim(m)
